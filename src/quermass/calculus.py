@@ -1,8 +1,8 @@
 """Finite-difference calculus for scalar fields on the sphere.
 
-A field f defined on S^{n-1} extends to R^n \ {0} either 1-homogeneously,
-F(y) = |y| f(y/|y|), or 0-homogeneously, f(y/|y|).  For a support function
-h the matrix
+A field f defined on S^{n-1} extends to R^n minus the origin either
+1-homogeneously, F(y) = |y| f(y/|y|), or 0-homogeneously, f(y/|y|).  For a
+support function h the matrix
 
     Q[h]_ij = e_i^T (Hess F) e_j = h_ij + h delta_ij
 

@@ -18,9 +18,11 @@ to CSV (--out).  Runs are deterministic for a fixed configuration and
 seed, producing byte-identical outputs.
 
 Exit codes: 0 success (and affirmative outcome for check-style commands);
-2 usage error; 3 check completed with a negative outcome (violated
-concavity, unsatisfied inequality, residual above tolerance, or a
-counterexample verdict inconsistent with its threshold).
+1 runtime error (a bad body spec, an unsupported operation, any other
+package error); 2 usage error, including an unknown --config key; 3 check
+completed with a negative outcome (violated concavity, unsatisfied
+inequality, residual above tolerance, or a counterexample verdict
+inconsistent with its threshold).
 """
 
 from __future__ import annotations
@@ -127,11 +129,19 @@ def _write_csv(path: str | None, rows: list[list]) -> None:
             writer.writerow(row)
 
 
+class _UsageError(QuermassError):
+    """A malformed command line or configuration; exits 2 like argparse."""
+
+
 def _effective_config(args: argparse.Namespace, defaults: dict) -> dict:
     cfg = dict(defaults)
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            cfg.update(json.load(fh))
+            loaded = json.load(fh)
+        unknown = sorted(set(loaded) - set(defaults))
+        if unknown:
+            raise _UsageError(f"unknown --config key(s): {', '.join(map(repr, unknown))}")
+        cfg.update(loaded)
     for key in defaults:
         val = getattr(args, key, None)
         if val is not None:
@@ -427,6 +437,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _UsageError as exc:
+        parser.error(str(exc))
     except QuermassError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

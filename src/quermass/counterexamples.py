@@ -51,7 +51,7 @@ import numpy as np
 from .bodies import Body, Box, EmbeddedCube, PMeanSpec, pmean_values, wulff_support_upper
 from .errors import DomainError
 from .intrinsic import unit_ball_volume, vk_box
-from .sphere import SphericalGrid, build_grid
+from .sphere import REFERENCE_RESOLUTION, SphericalGrid, build_grid
 
 #: Guard band for strict comparisons of rigorously bounded quantities.
 COMPARISON_GUARD = 1e-12
@@ -305,6 +305,9 @@ def v1_reverse_check(body0: Body, body1: Body, p: float, t: float, n: int,
     within ``tol``, else ``inconclusive`` (the bound, not the inequality,
     failed; refine the grid).  The non-rigorous arithmetic-mean bound and,
     optionally, a Wulff LP estimate of the left side land in ``extras``.
+
+    ``grid=None`` picks a product-angular grid for 3 <= n <= 6 (finer for
+    kinked bodies); other n raise ``DomainError`` and need an explicit grid.
     """
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"p must lie in [0, 1], got {p}")
@@ -318,9 +321,12 @@ def v1_reverse_check(body0: Body, body1: Body, p: float, t: float, n: int,
         rhs = (1.0 - t) * v0 ** p + t * v1 ** p
 
     if grid is None:
-        smooth = getattr(body0, "is_smooth", False) and getattr(body1, "is_smooth", False)
         # Kinked gauges converge only at rate resolution^-2; compensate.
-        res = {3: 14, 4: 8, 5: 7, 6: 5}[n] if smooth else {3: 400, 4: 48, 5: 20, 6: 10}[n]
+        kinked_res = {3: 400, 4: 48, 5: 20, 6: 10}
+        if n not in kinked_res:
+            raise DomainError(f"no default grid for n={n}; pass an explicit grid")
+        smooth = getattr(body0, "is_smooth", False) and getattr(body1, "is_smooth", False)
+        res = REFERENCE_RESOLUTION[n] if smooth else kinked_res[n]
         grid = build_grid(n, res, "product-angular")
     spec = PMeanSpec(p, t, body0, body1)
     gauge = pmean_values(spec, grid.nodes)

@@ -28,10 +28,6 @@ class UnsupportedBodyError(QuermassError):
     """Operation requires a smooth body (twice-differentiable support function)."""
 
 
-class UnsupportedScaleError(QuermassError):
-    """Requested computation exceeds the supported problem scale."""
-
-
 class PathValidityError(QuermassError):
     """The support function along a perturbation path left the smooth convex cone."""
 

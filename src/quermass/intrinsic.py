@@ -11,11 +11,15 @@ which evaluates in closed form to the matrix polynomial
 
     T_r(A) = sum_{m=0}^{r-1} (-1)^m S_{r-1-m}(A) A^m,
 
-so T_1 = I, T_2 = S_1 I - A, ..., T_N = adj(A).  The second cofactor
-S_r^{ij,kl} is obtained by differencing the exact first cofactor (entries
-perturbed in symmetric pairs, which keeps the argument symmetric and
-reproduces the independent-entry derivative after halving off-diagonal
-increments).
+so T_1 = I, T_2 = S_1 I - A, ..., T_N = adj(A).  The Faddeev-LeVerrier
+auxiliary matrix B_r is exactly T_r, so one recursion gives both.  The
+second cofactor S_r^{ij,kl} = d T_r^{ij} / d a_kl is only ever needed
+contracted against a symmetric direction X,
+
+    <S_r^{ij,kl}(A), X_kl> = d/de T_r(A + e X) at e = 0,
+
+and that contraction is exact by forward-mode differentiation of the
+same recursion.
 
 For a convex body with smooth support function h, the matrix
 Q[h] = (h_ij + h delta_ij) in an orthonormal tangent frame gives the
@@ -37,28 +41,9 @@ import numpy as np
 from . import calculus
 from .bodies import Body, require_smooth
 from .errors import DomainError
-from .sphere import SphericalGrid, TangentFrame, build_grid, tangent_frame
-
-def _kappa_table(top: int) -> tuple:
-    # recurrence kappa_j = kappa_{j-2} 2 pi / j from exact seeds; one ulp
-    # tighter than the gamma-function formula for small j
-    vals = [1.0, 2.0]
-    for j in range(2, top + 1):
-        vals.append(vals[j - 2] * 2.0 * math.pi / j)
-    return tuple(vals)
-
-
-#: Unit-ball volumes kappa_j, precomputed for j = 0..16.
-KAPPA = _kappa_table(16)
-
-
-def unit_ball_volume(j: int) -> float:
-    """kappa_j, the volume of the unit ball in R^j (table for j <= 16)."""
-    if j < 0:
-        raise DomainError("dimension must be non-negative")
-    if j < len(KAPPA):
-        return KAPPA[j]
-    return math.pi ** (j / 2.0) / math.gamma(j / 2.0 + 1.0)
+# KAPPA and unit_ball_volume live in sphere and stay importable from here.
+from .sphere import (KAPPA, SphericalGrid, TangentFrame, build_grid,
+                     tangent_frame, unit_ball_volume)
 
 
 def _check_square(A: np.ndarray) -> np.ndarray:
@@ -75,23 +60,29 @@ def _check_symmetric(A: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return A
 
 
+def _fl_step(AB: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """One Faddeev-LeVerrier step from AB = A B_j: returns (S_j, B_{j+1}) with
+
+        S_j = tr(A B_j) / j,  B_{j+1} = S_j I - A B_j.
+
+    The step is linear in A B_j, so applied to d(A B_j) it gives dS_j and
+    dB_{j+1}.
+    """
+    s = np.einsum("mii->m", AB) / j
+    return s, s[:, None, None] * np.eye(AB.shape[-1]) - AB
+
+
 def _elem_sym_all_batch(A: np.ndarray) -> np.ndarray:
     """S_0..S_N for a batch of matrices, shape (m, N, N) -> (m, N + 1).
 
-    Faddeev-LeVerrier: B_1 = I; S_r = tr(A B_r) / r; B_{r+1} = S_r I - A B_r.
-    The auxiliary matrices B_r coincide with the cofactor matrices T_r.
+    Faddeev-LeVerrier steps from B_1 = I.
     """
     m, N, _ = A.shape
     out = np.empty((m, N + 1))
     out[:, 0] = 1.0
-    B = np.broadcast_to(np.eye(N), (m, N, N)).copy()
-    eye = np.eye(N)
+    B = np.broadcast_to(np.eye(N), A.shape)
     for r in range(1, N + 1):
-        AB = A @ B
-        s = np.einsum("mii->m", AB) / r
-        out[:, r] = s
-        if r < N:
-            B = s[:, None, None] * eye - AB
+        out[:, r], B = _fl_step(A @ B, r)
     return out
 
 
@@ -105,17 +96,14 @@ def elem_sym(r: int, A: np.ndarray) -> float:
 
 
 def _cofactor_batch(A: np.ndarray, r: int) -> np.ndarray:
-    """Exact first-cofactor matrices T_r for a batch (m, N, N) -> (m, N, N)."""
-    m, N, _ = A.shape
-    S = _elem_sym_all_batch(A)
-    # Horner evaluation of sum_{i=0}^{r-1} (-1)^i S_{r-1-i} A^i from the top power.
-    sign = -1.0 if (r - 1) % 2 else 1.0
-    eye = np.eye(N)
-    P = (sign * S[:, 0])[:, None, None] * np.broadcast_to(eye, (m, N, N)).copy()
-    for i in range(r - 2, -1, -1):
-        sign = -1.0 if i % 2 else 1.0
-        P = A @ P + (sign * S[:, r - 1 - i])[:, None, None] * eye
-    return P
+    """Exact first cofactors T_r = B_r for a batch (m, N, N) -> (m, N, N).
+
+    r - 1 Faddeev-LeVerrier steps from B_1 = I.
+    """
+    B = np.broadcast_to(np.eye(A.shape[-1]), A.shape).copy()
+    for j in range(1, r):
+        _, B = _fl_step(A @ B, j)
+    return B
 
 
 def cofactor(r: int, A: np.ndarray) -> np.ndarray:
@@ -131,44 +119,43 @@ def cofactor(r: int, A: np.ndarray) -> np.ndarray:
     return _cofactor_batch(A[None], r)[0]
 
 
-def _second_cofactor_batch(A: np.ndarray, r: int, step: float = 1e-5) -> np.ndarray:
-    """Second cofactors by central differences of the exact first cofactor.
+def _second_cofactor_batch(A: np.ndarray, r: int, X: np.ndarray) -> np.ndarray:
+    """Contractions <S_r^{ij,kl}(A), X_kl> = d/de T_r(A + e X) at e = 0.
 
-    Entries are perturbed in symmetric pairs (k, l), (l, k); halving the
-    off-diagonal difference converts the pair derivative into the
-    independent-entry derivative d^2 S_r / d a_ij d a_kl symmetrized over
-    (k, l), which is what contractions against symmetric matrices see.
+    A has shape (m, N, N) and X, symmetric, (N, N) or (m, N, N).  Forward
+    mode through the steps of ``_cofactor_batch`` from dB_1 = 0, with
+    d(A B_j) = X B_j + A dB_j; exact, and zero for r <= 1.  Returns (m, N, N).
     """
-    m, N, _ = A.shape
-    eps = step * (1.0 + np.max(np.abs(A)))
-    out = np.empty((m, N, N, N, N))
-    for k in range(N):
-        for l in range(k, N):
-            E = np.zeros((N, N))
-            E[k, l] = eps
-            E[l, k] = eps
-            Tp = _cofactor_batch(A + E, r)
-            Tm = _cofactor_batch(A - E, r)
-            D = (Tp - Tm) / (2.0 * eps)
-            if k != l:
-                D = D / 2.0
-            out[:, :, :, k, l] = D
-            out[:, :, :, l, k] = D
-    return out
+    B = np.broadcast_to(np.eye(A.shape[-1]), A.shape)
+    dB = np.zeros(A.shape)
+    for j in range(1, r):
+        dAB = X @ B + A @ dB
+        _, B = _fl_step(A @ B, j)
+        _, dB = _fl_step(dAB, j)
+    return dB
 
 
-def second_cofactor(r: int, A: np.ndarray, step: float = 1e-5) -> np.ndarray:
+def second_cofactor(r: int, A: np.ndarray) -> np.ndarray:
     """Second cofactor tensor (S_r^{ij,kl}(A)), shape (N, N, N, N).
 
-    S_1^{ij,kl} vanishes identically; r = 2 gives a constant tensor.
+    Stored symmetrized over (k, l): slice [:, :, k, l] is the contraction
+    along E_kk on the diagonal and along (E_kl + E_lk) / 2 off it, which is
+    what contractions against symmetric matrices see.  S_1^{ij,kl}
+    vanishes identically; r = 2 gives a constant tensor.
     """
     A = _check_symmetric(A)
     N = A.shape[0]
     if not 1 <= r <= N:
         raise DomainError(f"order r must satisfy 1 <= r <= {N}, got {r}")
-    if r == 1:
-        return np.zeros((N, N, N, N))
-    return _second_cofactor_batch(A[None], r, step=step)[0]
+    k, l = np.triu_indices(N)
+    X = np.zeros((k.size, N, N))
+    X[np.arange(k.size), k, l] += 0.5
+    X[np.arange(k.size), l, k] += 0.5
+    D = _second_cofactor_batch(np.broadcast_to(A, X.shape), r, X)
+    out = np.empty((N, N, N, N))
+    out[:, :, k, l] = D.transpose(1, 2, 0)
+    out[:, :, l, k] = D.transpose(1, 2, 0)
+    return out
 
 
 def q_matrix(body: Body, x: np.ndarray, frame: TangentFrame | None = None,

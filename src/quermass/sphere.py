@@ -170,7 +170,25 @@ def _icosphere_half(freq: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(nodes), np.array(weights)
 
 
-def _unit_ball_volume(j: int) -> float:
+def _kappa_table(top: int) -> tuple:
+    # recurrence kappa_j = kappa_{j-2} 2 pi / j from exact seeds; one ulp
+    # tighter than the gamma-function formula for small j
+    vals = [1.0, 2.0]
+    for j in range(2, top + 1):
+        vals.append(vals[j - 2] * 2.0 * math.pi / j)
+    return tuple(vals)
+
+
+#: Unit-ball volumes kappa_j, precomputed for j = 0..16.
+KAPPA = _kappa_table(16)
+
+
+def unit_ball_volume(j: int) -> float:
+    """kappa_j, the volume of the unit ball in R^j (table for j <= 16)."""
+    if j < 0:
+        raise DomainError("dimension must be non-negative")
+    if j < len(KAPPA):
+        return KAPPA[j]
     return math.pi ** (j / 2.0) / math.gamma(j / 2.0 + 1.0)
 
 
@@ -178,7 +196,7 @@ def surface_area(n: int) -> float:
     """Surface area of S^{n-1} in R^n, i.e. n * kappa_n."""
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
-    return n * _unit_ball_volume(n)
+    return n * unit_ball_volume(n)
 
 
 def _monte_carlo_half(n: int, res: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -41,17 +41,13 @@ import numpy as np
 
 from . import calculus
 from .bodies import Body, require_smooth
-from .errors import DomainError, PathValidityError, UnsupportedScaleError
+from .errors import DomainError, PathValidityError
 from .intrinsic import (
     _cofactor_batch,
     _elem_sym_all_batch,
     _second_cofactor_batch,
 )
 from .sphere import SphericalGrid, TestFunction, integrate
-
-#: Largest ambient dimension for which third derivatives (second-cofactor
-#: contractions at every node) are computed.
-MAX_THIRD_DERIVATIVE_DIMENSION = 5
 
 S_WINDOW = (-2.0, 2.0)
 _VALIDITY_SAMPLES = (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -158,17 +154,6 @@ class VariationPath:
             data["q_psi2h"] = Q
         return data["q_psi2h"]
 
-    def _second_cofactors(self, s: float) -> np.ndarray:
-        data = self._node_data(s)
-        if "scof" not in data:
-            Q = data["Q"]
-            m, N, _ = Q.shape
-            if self.k == 1:
-                data["scof"] = np.zeros((m, N, N, N, N))
-            else:
-                data["scof"] = _second_cofactor_batch(Q, self.k - 1)
-        return data["scof"]
-
 
 def _check_s(s: float) -> float:
     if not S_WINDOW[0] <= s <= S_WINDOW[1]:
@@ -209,15 +194,11 @@ def f_k_second(path: VariationPath, s: float) -> float:
 def f_k_third(path: VariationPath, s: float) -> float:
     """Third s-derivative of f_k via first and second cofactors.
 
-    Limited to ambient dimension <= 5: the second-cofactor contraction at
-    every node scales like (n-1)^4 cofactor evaluations.
+    The second-cofactor term is the exact contraction
+    <d/de T_{k-1}(Q + e Qdot), Qdot> with Qdot = Q[psi h_s], computed in
+    O(k (n-1)^3) work per node for any dimension.
     """
     s = _check_s(s)
-    n = path.grid.dimension
-    if n > MAX_THIRD_DERIVATIVE_DIMENSION:
-        raise UnsupportedScaleError(
-            f"third derivatives are supported for n <= {MAX_THIRD_DERIVATIVE_DIMENSION}, got n={n}"
-        )
     data = path._node_data(s)
     w, psi = path.grid.weights, path._psi_vals
     hd = data["h"]
@@ -226,8 +207,8 @@ def f_k_third(path: VariationPath, s: float) -> float:
     inner1 = np.einsum("mij,mij->m", cof, qdot)
     term1 = float(np.dot(w, psi ** 3 * hd * data["dens"]))
     term2 = 2.0 * float(np.dot(w, psi * psi * hd * inner1))
-    scof = path._second_cofactors(s)
-    inner2 = np.einsum("mijrs,mij,mrs->m", scof, qdot, qdot)
+    dcof = _second_cofactor_batch(data["Q"], path.k - 1, qdot)
+    inner2 = np.einsum("mij,mij->m", dcof, qdot)
     term3 = float(np.dot(w, psi * hd * inner2))
     qddot = path._q_psi2h(s)
     inner3 = np.einsum("mij,mij->m", cof, qddot)
@@ -409,7 +390,9 @@ def ibp_check(body: Body, phi, phibar, psi, k: int, grid: SphericalGrid) -> IbpR
     Second identity: int psi    <S_k^{ij,rs}(Q[h]), Q[phi] (x) Q[phibar]> =
                      int phibar <S_k^{ij,rs}(Q[h]), Q[phi] (x) Q[psi]>.
 
-    Here k indexes S_k directly, 1 <= k <= n - 1.
+    Both sides of the second share one exact contraction
+    <S_k^{ij,rs}(Q[h]), Q[phi]_rs>.  Here k indexes S_k directly,
+    1 <= k <= n - 1.
     """
     require_smooth(body, "ibp_check")
     n = grid.dimension
@@ -426,15 +409,11 @@ def ibp_check(body: Body, phi, phibar, psi, k: int, grid: SphericalGrid) -> IbpR
     a1 = float(np.dot(w, vphibar * np.einsum("mij,mij->m", cof, qphi)))
     a2 = float(np.dot(w, vphi * np.einsum("mij,mij->m", cof, qphibar)))
 
-    if k == 1:
-        m, N, _ = Qh.shape
-        scof = np.zeros((m, N, N, N, N))
-    else:
-        scof = _second_cofactor_batch(Qh, k)
+    dcof = _second_cofactor_batch(Qh, k, qphi)
     qpsi, _ = calculus.tangent_hessian(psi, grid.nodes, grid.frames)
     vpsi = np.asarray(psi(grid.nodes), dtype=float)
-    b1 = float(np.dot(w, vpsi * np.einsum("mijrs,mij,mrs->m", scof, qphi, qphibar)))
-    b2 = float(np.dot(w, vphibar * np.einsum("mijrs,mij,mrs->m", scof, qphi, qpsi)))
+    b1 = float(np.dot(w, vpsi * np.einsum("mij,mij->m", dcof, qphibar)))
+    b2 = float(np.dot(w, vphibar * np.einsum("mij,mij->m", dcof, qpsi)))
 
     return IbpResult(
         residual_first=abs(a1 - a2),

@@ -192,6 +192,15 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid_resolution": 4}))
+    with pytest.raises(SystemExit) as exc:
+        main(["vk", "--n", "3", "--k", "2", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "'grid_resolution'" in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -236,6 +236,14 @@ def test_v1_reverse_homothetic_equality():
     assert abs(v.margin) <= 1e-9
 
 
+def test_v1_reverse_default_grid_outside_3_to_6():
+    # defaults cover n = 3..6 only; elsewhere an explicit grid is required
+    with pytest.raises(DomainError, match="explicit grid"):
+        v1_reverse_check(*cube_pair(7, 3), 0.5, 0.5, 7)
+    with pytest.raises(DomainError, match="explicit grid"):
+        v1_reverse_check(Ball(1.0), Ball(2.0), 0.5, 0.5, 2)
+
+
 def test_v1_reverse_zero_factor():
     # {0} as one factor, p = 0: combination is {0}, gauge identically zero,
     # so the general bound already gives exact 0 = 0

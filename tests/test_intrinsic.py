@@ -1,8 +1,11 @@
 import itertools
 import math
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
 from quermass import (
@@ -24,6 +27,8 @@ from quermass import (
     vk_box,
     vk_quadrature,
 )
+from quermass import intrinsic, sphere
+from quermass.intrinsic import _second_cofactor_batch
 
 
 def _random_symmetric(rng, N):
@@ -35,6 +40,17 @@ def _elem_sym_eigen(r, A):
     # oracle: sum over r-subsets of eigenvalue products
     w = np.linalg.eigvalsh(A)
     return float(sum(np.prod(list(c)) for c in itertools.combinations(w, r)))
+
+
+def _second_cofactor_eigen(r, A, X):
+    # oracle: 2 [e^2] S_r(A + e X); S_r(A + e X) is a polynomial of degree r
+    # in e, fitted exactly on r + 1 Chebyshev points in [-1, 1]
+    if r < 2:
+        return 0.0
+    eps = np.cos(np.pi * (np.arange(r + 1) + 0.5) / (r + 1))
+    vals = [_elem_sym_eigen(r, A + e * X) for e in eps]
+    coeffs = np.linalg.solve(np.vander(eps, r + 1, increasing=True), vals)
+    return 2.0 * float(coeffs[2])
 
 
 def _fd_cofactor(r, A, eps=1e-6):
@@ -64,6 +80,14 @@ def test_unit_ball_volume_values():
     )
     with pytest.raises(DomainError):
         unit_ball_volume(-1)
+
+
+def test_one_kappa_table():
+    # intrinsic re-exports the sphere table; surface areas use it too
+    assert intrinsic.unit_ball_volume is sphere.unit_ball_volume
+    assert intrinsic.KAPPA is sphere.KAPPA
+    for n in range(1, 17):
+        assert sphere.surface_area(n) == n * sphere.KAPPA[n]
 
 
 def test_unit_ball_volume_monte_carlo_crosscheck():
@@ -155,7 +179,7 @@ def test_second_cofactor_n2_frozen():
     expected[0, 0, 1, 1] = expected[1, 1, 0, 0] = 1.0
     for idx in ((0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 0)):
         expected[idx] = -0.5
-    assert_allclose(T, expected, atol=1e-6)
+    assert_allclose(T, expected, atol=1e-12)
 
 
 def test_second_cofactor_r1_zero():
@@ -168,6 +192,64 @@ def test_second_cofactor_exchange_symmetry(rng):
         A = _random_symmetric(rng, N)
         T = second_cofactor(r, A)
         assert_allclose(T, np.transpose(T, (2, 3, 0, 1)), atol=1e-7)
+
+
+def test_second_cofactor_matches_eigen_closed_form(rng):
+    # relative to the larger of the value and |X|^2, so that a value which
+    # cancels to near zero is not judged on its last digits
+    for N in range(1, 6):
+        for _ in range(4):
+            A = _random_symmetric(rng, N)
+            X = _random_symmetric(rng, N)
+            for r in range(1, N + 1):
+                got = float(np.einsum("ijkl,ij,kl->", second_cofactor(r, A), X, X))
+                want = _second_cofactor_eigen(r, A, X)
+                if r == 1:
+                    assert got == 0.0
+                else:
+                    assert abs(got - want) <= 1e-12 * max(abs(want), np.sum(X * X))
+
+
+def _symmetric_matrices(N):
+    entries = st.floats(-2.0, 2.0, allow_subnormal=False)
+    return hnp.arrays(np.float64, (N, N), elements=entries).map(lambda M: (M + M.T) / 2.0)
+
+
+def _unit(X):
+    norm = np.linalg.norm(X)
+    return X / norm if norm > 0.0 else X
+
+
+@st.composite
+def _cofactor_cases(draw):
+    # the contraction is bilinear in the directions, so unit directions
+    # lose nothing and fix the scale of the comparison
+    N = draw(st.integers(1, 5))
+    r = draw(st.integers(1, N))
+    A, X, Y = (draw(_symmetric_matrices(N)) for _ in range(3))
+    return r, A, _unit(X), _unit(Y)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_cofactor_cases())
+def test_second_cofactor_batch_symmetric(case):
+    # <dT[X], Y> = <dT[Y], X>: the second cofactor is symmetric in its pairs
+    r, A, X, Y = case
+    dX = _second_cofactor_batch(A[None], r, X)[0]
+    dY = _second_cofactor_batch(A[None], r, Y)[0]
+    lhs, rhs = float(np.sum(dX * Y)), float(np.sum(dY * X))
+    assert abs(lhs - rhs) <= 1e-13 * max(1.0, np.linalg.norm(A)) ** r
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_cofactor_cases())
+def test_second_cofactor_batch_is_second_derivative(case):
+    # <dT[X], X> = 2 [e^2] S_r(A + e X); the oracle's rounding scales with
+    # the values of S_r it fits, of size (|A| + |X|)^r
+    r, A, X, _ = case
+    got = float(np.sum(_second_cofactor_batch(A[None], r, X)[0] * X))
+    want = _second_cofactor_eigen(r, A, X)
+    assert abs(got - want) <= 1e-12 * (1.0 + np.linalg.norm(A)) ** r
 
 
 def test_second_cofactor_contraction_matches_fd(rng):

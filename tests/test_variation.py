@@ -12,7 +12,6 @@ from quermass import (
     PathValidityError,
     TestFunction,
     UnsupportedBodyError,
-    UnsupportedScaleError,
     VariationPath,
     ball_fk,
     ball_fk_prime,
@@ -140,12 +139,20 @@ def test_third_derivative_fd_consistency(grid3):
     assert_allclose(richardson, a3, rtol=1e-3)
 
 
-def test_third_derivative_dimension_gate():
+def test_third_derivative_n6_matches_fd_of_second():
+    # no dimension limit: at n = 6 the analytic third derivative agrees
+    # with a Richardson-extrapolated central difference of the analytic f_k''
     g6 = build_grid(6, 3, "product-angular")
-    psi = TestFunction.coordinate_harmonic(6).scaled(0.01)
-    path = VariationPath(Ball(1.0), psi, 2, g6)
-    with pytest.raises(UnsupportedScaleError):
-        f_k_third(path, 0.0)
+    psi = TestFunction(6, ((0.3, (0,) * 6), (0.1, (2, 0, 0, 0, 0, 0)),
+                           (-0.05, (0, 2, 0, 0, 0, 0))), 1.0)
+    for k in (2, 4, 6):
+        path = VariationPath(Ball(1.0), psi, k, g6)
+
+        def central(d):
+            return (f_k_second(path, d) - f_k_second(path, -d)) / (2.0 * d)
+
+        richardson = (4.0 * central(0.005) - central(0.01)) / 3.0
+        assert_allclose(f_k_third(path, 0.0), richardson, rtol=1e-6)
 
 
 def test_centering_identity(grid3):
