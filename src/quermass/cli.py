@@ -10,7 +10,9 @@ christoffel     Max-norm of the Christoffel-Minkowski residual on a grid.
 poincare        Sharpened Poincare inequality check for an even test function.
 ibp-check       Residuals of the cofactor integration-by-parts identities.
 
-Configuration can be loaded from a JSON file (--config); explicit flags
+Each option is declared once, in ``_COMMANDS``, which makes its flag
+(key ``grid_res``, flag ``--grid-res``) and checks its value in a JSON
+config file (--config) against the same type or choices.  Explicit flags
 override file values, which override built-in defaults.  Reports are
 written as JSON (--json) carrying the package version, the effective
 configuration and a SHA-256 fingerprint of the quadrature grid; tables go
@@ -18,8 +20,9 @@ to CSV (--out).  Runs are deterministic for a fixed configuration and
 seed, producing byte-identical outputs.
 
 Exit codes: 0 success (and affirmative outcome for check-style commands);
-1 runtime error (a bad body spec, an unsupported operation, any other
-package error); 2 usage error, including an unknown --config key; 3 check
+1 runtime error (a bad or unreadable body or psi spec, an unsupported
+operation, any other package error); 2 usage error, including an
+unreadable --config file and an unknown key or bad value in it; 3 check
 completed with a negative outcome (violated concavity, unsatisfied
 inequality, residual above tolerance, or a counterexample verdict
 inconsistent with its threshold).
@@ -31,6 +34,7 @@ import argparse
 import csv
 import json
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,31 +49,44 @@ _EXIT_OK = 0
 _EXIT_NEGATIVE = 3
 
 
+def _json_object(text: str) -> dict:
+    """Parse a JSON object; ``@path`` reads it from that file."""
+    if text.startswith("@"):
+        with open(text[1:]) as fh:
+            text = fh.read()
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise TypeError("expected a JSON object")
+    return doc
+
+
+def _spec_error(what: str, spec: str, exc: Exception) -> QuermassError:
+    detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+    return QuermassError(f"bad {what} spec {spec!r}: {detail}")
+
+
 def _parse_body(spec: str, n: int) -> bodies_mod.Body:
-    if spec.startswith("@"):
-        with open(spec[1:]) as fh:
-            return bodies_mod.body_from_json(json.load(fh))
-    if spec.startswith("{"):
-        return bodies_mod.body_from_json(json.loads(spec))
     name, _, arg = spec.partition(":")
-    if name == "ball":
-        return bodies_mod.Ball(float(arg) if arg else 1.0)
-    if name == "box":
-        return bodies_mod.Box(tuple(float(v) for v in arg.split(",")))
-    if name == "cube":
-        return bodies_mod.EmbeddedCube(n, tuple(int(v) for v in arg.split(",")))
+    try:
+        if spec.startswith(("@", "{")):
+            return bodies_mod.body_from_json(_json_object(spec))
+        if name == "ball":
+            return bodies_mod.Ball(float(arg) if arg else 1.0)
+        if name == "box":
+            return bodies_mod.Box(tuple(float(v) for v in arg.split(",")))
+        if name == "cube":
+            return bodies_mod.EmbeddedCube(n, tuple(int(v) for v in arg.split(",")))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise _spec_error("body", spec, exc) from None
     raise QuermassError(f"unrecognized body spec {spec!r}")
 
 
 def _parse_psi(spec: str, n: int, amplitude: float | None) -> TestFunction:
-    if spec.startswith("@"):
-        with open(spec[1:]) as fh:
-            psi = TestFunction.from_json(json.load(fh))
-    elif spec.startswith("{"):
-        psi = TestFunction.from_json(json.loads(spec))
-    else:
-        name, _, arg = spec.partition(":")
-        if name == "x1sq":
+    name, _, arg = spec.partition(":")
+    try:
+        if spec.startswith(("@", "{")):
+            psi = TestFunction.from_json(_json_object(spec))
+        elif name == "x1sq":
             psi = TestFunction.coordinate_harmonic(n)
         elif name == "zonal4":
             psi = TestFunction.zonal_degree4(n)
@@ -77,18 +94,20 @@ def _parse_psi(spec: str, n: int, amplitude: float | None) -> TestFunction:
             psi = TestFunction.constant(n, float(arg) if arg else 1.0)
         else:
             raise QuermassError(f"unrecognized psi spec {spec!r}")
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise _spec_error("psi", spec, exc) from None
     if amplitude is not None:
         psi = psi.scaled(amplitude)
     return psi
 
 
 def _make_grid(cfg: dict) -> SphericalGrid:
-    n = int(cfg["n"])
-    method = cfg.get("grid_method") or ("product-angular" if n <= 6 else "monte-carlo")
-    res = cfg.get("grid_res")
+    n = cfg["n"]
+    method = cfg["grid_method"] or ("product-angular" if n <= 6 else "monte-carlo")
+    res = cfg["grid_res"]
     if res is None:
         res = REFERENCE_RESOLUTION.get(n, 4) if method != "monte-carlo" else 20000
-    return build_grid(n, int(res), method, seed=cfg.get("seed"))
+    return build_grid(n, res, method, seed=cfg["seed"])
 
 
 def _grid_meta(grid: SphericalGrid) -> dict:
@@ -120,30 +139,64 @@ def _write_report(path: str | None, command: str, cfg: dict, results: dict,
         fh.write("\n")
 
 
-def _write_csv(path: str | None, rows: list[list]) -> None:
-    if not path:
+def _write_csv(path: str | None, rows: list[list] | None) -> None:
+    if not path or rows is None:
         return
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in rows:
-            writer.writerow(row)
+        csv.writer(fh).writerows(rows)
+
+
+class _Outcome(NamedTuple):
+    """A finished subcommand: its exit code and what --json and --out write."""
+
+    code: int
+    results: dict
+    grid: SphericalGrid | None = None
+    rows: list[list] | None = None
 
 
 class _UsageError(QuermassError):
     """A malformed command line or configuration; exits 2 like argparse."""
 
 
-def _effective_config(args: argparse.Namespace, defaults: dict) -> dict:
-    cfg = dict(defaults)
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            loaded = json.load(fh)
-        unknown = sorted(set(loaded) - set(defaults))
+class _Option(NamedTuple):
+    """One subcommand option, given as flag ``--key`` (``_`` spelled ``-``)."""
+
+    kind: type | tuple  # int, float, str, bool (a switch) or a tuple of choices
+    default: object = None
+    help: str | None = None
+
+
+def _check_value(key: str, opt: _Option, value):
+    """A --config value, held to the type or choices of its flag."""
+    if value is None and opt.default is None:
+        return None
+    if isinstance(opt.kind, tuple):
+        ok, want = value in opt.kind, "one of " + ", ".join(map(repr, opt.kind))
+    else:
+        # JSON has no int/float split for whole numbers; bool is an int in Python
+        accepted = (int, float) if opt.kind is float else opt.kind
+        ok = isinstance(value, accepted) and isinstance(value, bool) == (opt.kind is bool)
+        want = f"of type {opt.kind.__name__}"
+    if not ok:
+        raise _UsageError(f"--config key {key!r} must be {want}, got {value!r}")
+    return float(value) if opt.kind is float else value
+
+
+def _effective_config(args: argparse.Namespace, options: dict[str, _Option]) -> dict:
+    cfg = {key: opt.default for key, opt in options.items()}
+    if args.config:
+        try:
+            loaded = _json_object("@" + args.config)
+        except (OSError, TypeError, ValueError) as exc:
+            raise _UsageError(f"cannot read --config {args.config!r}: {exc}") from None
+        unknown = sorted(set(loaded) - set(options))
         if unknown:
             raise _UsageError(f"unknown --config key(s): {', '.join(map(repr, unknown))}")
-        cfg.update(loaded)
-    for key in defaults:
-        val = getattr(args, key, None)
+        for key, value in loaded.items():
+            cfg[key] = _check_value(key, options[key], value)
+    for key in options:
+        val = getattr(args, key)
         if val is not None:
             cfg[key] = val
     return cfg
@@ -151,11 +204,8 @@ def _effective_config(args: argparse.Namespace, defaults: dict) -> dict:
 
 # -- subcommands ------------------------------------------------------------
 
-def cmd_vk(args) -> int:
-    defaults = {"n": 3, "k": 2, "body": "ball:1.0", "grid_res": None,
-                "grid_method": None, "seed": None, "vk_method": "auto"}
-    cfg = _effective_config(args, defaults)
-    n, k = int(cfg["n"]), int(cfg["k"])
+def cmd_vk(cfg: dict) -> _Outcome:
+    n, k = cfg["n"], cfg["k"]
     body = _parse_body(cfg["body"], n)
     method = cfg["vk_method"]
     grid = None
@@ -185,35 +235,27 @@ def cmd_vk(args) -> int:
           f"error estimate {result.error_estimate:.3e})")
     if not result.q_positive_definite:
         print("warning: Q[h] was not positive definite at some node", file=sys.stderr)
-    _write_report(args.json, "vk", cfg, results, grid)
-    _write_csv(args.out, [["n", "k", "value", "method", "error_estimate"],
-                          [n, k, result.value, result.method, result.error_estimate]])
-    return _EXIT_OK
+    rows = [["n", "k", "value", "method", "error_estimate"],
+            [n, k, result.value, result.method, result.error_estimate]]
+    return _Outcome(_EXIT_OK, results, grid, rows)
 
 
-def cmd_concavity(args) -> int:
-    defaults = {"n": 3, "k": 2, "psi": "x1sq", "amplitude": 0.01,
-                "body": "ball:1.0", "s_min": -2.0, "s_max": 2.0, "s_steps": 21,
-                "grid_res": None, "grid_method": None, "seed": None}
-    cfg = _effective_config(args, defaults)
-    n, k = int(cfg["n"]), int(cfg["k"])
+def cmd_concavity(cfg: dict) -> _Outcome:
+    n, k = cfg["n"], cfg["k"]
     grid = _make_grid(cfg)
-    psi = _parse_psi(cfg["psi"], n, cfg.get("amplitude"))
+    psi = _parse_psi(cfg["psi"], n, cfg["amplitude"])
     body = _parse_body(cfg["body"], n)
     path = variation.VariationPath(body, psi, k, grid)
-    s_values = np.linspace(float(cfg["s_min"]), float(cfg["s_max"]), int(cfg["s_steps"]))
+    s_values = np.linspace(cfg["s_min"], cfg["s_max"], cfg["s_steps"])
     report = variation.concavity_scan(path, s_values)
     print(f"concavity scan n={n} k={k}: {report.verdict} "
           f"(max H = {max(report.concavity_values):.6e}, tol = {report.tolerance:.3e})")
-    _write_report(args.json, "concavity", cfg, report.to_json(), grid)
-    _write_csv(args.out, report.csv_rows())
-    return _EXIT_OK if report.verdict in ("concave", "strictly-concave") else _EXIT_NEGATIVE
+    code = _EXIT_OK if report.verdict in ("concave", "strictly-concave") else _EXIT_NEGATIVE
+    return _Outcome(code, report.to_json(), grid, report.csv_rows())
 
 
-def cmd_thresholds(args) -> int:
-    defaults = {"n_min": 3, "n_max": 10}
-    cfg = _effective_config(args, defaults)
-    rows = cx.threshold_table(int(cfg["n_min"]), int(cfg["n_max"]))
+def cmd_thresholds(cfg: dict) -> _Outcome:
+    rows = cx.threshold_table(cfg["n_min"], cfg["n_max"])
     bound_for = {
         "low": lambda n: 1.0,
         "middle": lambda n: 1.0 / np.log2(2.0 * n / 3.0),
@@ -224,96 +266,68 @@ def cmd_thresholds(args) -> int:
         bound = bound_for[row["branch"]](row["n"])
         table.append([row["n"], row["k"], row["branch"], repr(row["pbar"]), repr(float(bound))])
         print(f"n={row['n']:2d} k={row['k']:2d} {row['branch']:>6s} pbar={row['pbar']:.6f}")
-    _write_report(args.json, "thresholds", cfg,
-                  {"rows": rows, "count": len(rows)})
-    _write_csv(args.out, table)
-    return _EXIT_OK
+    return _Outcome(_EXIT_OK, {"rows": rows, "count": len(rows)}, rows=table)
 
 
-def cmd_counterexample(args) -> int:
-    defaults = {"n": 4, "k": 2, "p": None, "sweep": False,
-                "n_min": 3, "n_max": 8}
-    cfg = _effective_config(args, defaults)
-    if cfg.get("sweep"):
-        table = [["n", "k", "branch", "pbar", "p", "lhs_bound", "rhs", "margin",
-                  "conclusion"]]
-        verdicts = []
-        all_certified = True
-        for n in range(int(cfg["n_min"]), int(cfg["n_max"]) + 1):
-            for k in range(2, n):
-                pbar = cx.threshold_pbar(n, k)
-                p = cfg["p"] if cfg.get("p") is not None else pbar / 2.0
-                v = cx.verify_counterexample(n, k, float(p))
-                verdicts.append(v.to_json())
-                table.append([n, k, v.extras["branch"], repr(pbar), repr(float(p)),
-                              repr(v.lhs), repr(v.rhs), repr(v.margin), v.conclusion])
-                all_certified = all_certified and v.conclusion == "inequality-fails"
-                print(f"n={n} k={k} p={float(p):.4f} pbar={pbar:.4f}: {v.conclusion} "
-                      f"(margin {v.margin:+.3e})")
-        _write_report(args.json, "counterexample", cfg, {"verdicts": verdicts})
-        _write_csv(args.out, table)
-        return _EXIT_OK if all_certified else _EXIT_NEGATIVE
-
-    n, k = int(cfg["n"]), int(cfg["k"])
-    pbar = cx.threshold_pbar(n, k)
-    p = float(cfg["p"]) if cfg.get("p") is not None else pbar / 2.0
-    v = cx.verify_counterexample(n, k, p)
-    print(f"n={n} k={k} p={p} (pbar={pbar:.6f}, branch {v.extras['branch']}): "
-          f"{v.conclusion}")
-    print(f"  V_k upper bound {v.extras['vk_upper_bound']!r} vs target "
-          f"{v.extras['vk_target']!r}; margin on V^(p/k) scale {v.margin:+.6e}")
-    _write_report(args.json, "counterexample", cfg, v.to_json())
-    _write_csv(args.out, [["n", "k", "branch", "pbar", "p", "lhs_bound", "rhs",
-                          "margin", "conclusion"],
-                         [n, k, v.extras["branch"], repr(pbar), repr(p), repr(v.lhs),
-                          repr(v.rhs), repr(v.margin), v.conclusion]])
+def cmd_counterexample(cfg: dict) -> _Outcome:
+    sweep = cfg["sweep"]
+    if sweep:
+        cases = [(n, k) for n in range(cfg["n_min"], cfg["n_max"] + 1) for k in range(2, n)]
+    else:
+        cases = [(cfg["n"], cfg["k"])]
+    table = [["n", "k", "branch", "pbar", "p", "lhs_bound", "rhs", "margin", "conclusion"]]
+    verdicts = []
+    for n, k in cases:
+        pbar = cx.threshold_pbar(n, k)
+        p = cfg["p"] if cfg["p"] is not None else pbar / 2.0
+        v = cx.verify_counterexample(n, k, p)
+        verdicts.append(v)
+        table.append([n, k, v.extras["branch"], repr(pbar), repr(p),
+                      repr(v.lhs), repr(v.rhs), repr(v.margin), v.conclusion])
+        if sweep:
+            print(f"n={n} k={k} p={p:.4f} pbar={pbar:.4f}: {v.conclusion} "
+                  f"(margin {v.margin:+.3e})")
+        else:
+            print(f"n={n} k={k} p={p} (pbar={pbar:.6f}, branch {v.extras['branch']}): "
+                  f"{v.conclusion}")
+            print(f"  V_k upper bound {v.extras['vk_upper_bound']!r} vs target "
+                  f"{v.extras['vk_target']!r}; margin on V^(p/k) scale {v.margin:+.6e}")
     # exit 0 only when failure of the inequality is actually certified
-    return _EXIT_OK if v.conclusion == "inequality-fails" else _EXIT_NEGATIVE
+    certified = all(v.conclusion == "inequality-fails" for v in verdicts)
+    results = {"verdicts": [v.to_json() for v in verdicts]} if sweep else verdicts[0].to_json()
+    return _Outcome(_EXIT_OK if certified else _EXIT_NEGATIVE, results, rows=table)
 
 
-def cmd_christoffel(args) -> int:
-    defaults = {"n": 3, "k": 2, "p": 0.5, "body": "ball:1.0",
-                "grid_res": None, "grid_method": None, "seed": None}
-    cfg = _effective_config(args, defaults)
-    n, k = int(cfg["n"]), int(cfg["k"])
+def cmd_christoffel(cfg: dict) -> _Outcome:
+    n, k = cfg["n"], cfg["k"]
     grid = _make_grid(cfg)
     body = _parse_body(cfg["body"], n)
-    vals, max_abs = variation.christoffel_residual_grid(body, float(cfg["p"]), k, grid)
+    vals, max_abs = variation.christoffel_residual_grid(body, cfg["p"], k, grid)
     print(f"christoffel residual n={n} k={k} p={cfg['p']}: max |residual| = {max_abs:.6e}")
-    _write_report(args.json, "christoffel", cfg,
-                  {"max_abs_residual": max_abs,
-                   "mean_residual": float(np.mean(vals))}, grid)
-    _write_csv(args.out, [["node_index", "residual"],
-                          *[[i, repr(float(v))] for i, v in enumerate(vals)]])
-    return _EXIT_OK
+    results = {"max_abs_residual": max_abs, "mean_residual": float(np.mean(vals))}
+    rows = [["node_index", "residual"], *[[i, repr(float(v))] for i, v in enumerate(vals)]]
+    return _Outcome(_EXIT_OK, results, grid, rows)
 
 
-def cmd_poincare(args) -> int:
-    defaults = {"n": 3, "psi": "x1sq", "amplitude": None,
-                "grid_res": None, "grid_method": None, "seed": None}
-    cfg = _effective_config(args, defaults)
-    n = int(cfg["n"])
+def cmd_poincare(cfg: dict) -> _Outcome:
+    n = cfg["n"]
     grid = _make_grid(cfg)
-    psi = _parse_psi(cfg["psi"], n, cfg.get("amplitude"))
+    psi = _parse_psi(cfg["psi"], n, cfg["amplitude"])
     result = variation.poincare_check(psi, grid)
     print(f"poincare n={n}: int psi^2 = {result.lhs:.9e}, "
           f"(1/2n) int |grad|^2 = {result.rhs:.9e}, ratio = {result.ratio:.9f}, "
           f"satisfied = {result.satisfied}")
-    _write_report(args.json, "poincare", cfg,
-                  {"lhs": result.lhs, "rhs": result.rhs, "ratio": result.ratio,
-                   "satisfied": result.satisfied, "degenerate": result.degenerate},
-                  grid)
-    return _EXIT_OK if result.satisfied else _EXIT_NEGATIVE
+    return _Outcome(_EXIT_OK if result.satisfied else _EXIT_NEGATIVE,
+                    {"lhs": result.lhs, "rhs": result.rhs, "ratio": result.ratio,
+                     "satisfied": result.satisfied, "degenerate": result.degenerate},
+                    grid)
 
 
-def cmd_ibp_check(args) -> int:
-    defaults = {"n": 3, "k": 1, "seed": 0, "amplitude": 0.1, "tol": 1e-5,
-                "grid_res": None, "grid_method": None}
-    cfg = _effective_config(args, defaults)
-    n, k = int(cfg["n"]), int(cfg["k"])
+def cmd_ibp_check(cfg: dict) -> _Outcome:
+    n, k = cfg["n"], cfg["k"]
     grid = _make_grid(cfg)
-    rng = np.random.default_rng(int(cfg["seed"]))
-    amp = float(cfg["amplitude"])
+    rng = np.random.default_rng(cfg["seed"])
+    amp = cfg["amplitude"]
 
     def random_quadratic():
         M = rng.standard_normal((n, n))
@@ -323,25 +337,68 @@ def cmd_ibp_check(args) -> int:
     base = bodies_mod.LogPerturbedBall(random_quadratic(), 0.5)
     phi, phibar, psi = random_quadratic(), random_quadratic(), random_quadratic()
     result = variation.ibp_check(base, phi, phibar, psi, k, grid)
-    ok = (result.residual_first <= float(cfg["tol"])
-          and result.residual_second <= float(cfg["tol"]))
+    ok = result.residual_first <= cfg["tol"] and result.residual_second <= cfg["tol"]
     print(f"ibp-check n={n} k={k} seed={cfg['seed']}: "
           f"residuals {result.residual_first:.3e}, {result.residual_second:.3e} "
           f"(tol {cfg['tol']:g}) -> {'ok' if ok else 'FAIL'}")
-    _write_report(args.json, "ibp-check", cfg,
-                  {"residual_first": result.residual_first,
-                   "residual_second": result.residual_second,
-                   "scale_first": result.scale_first,
-                   "scale_second": result.scale_second,
-                   "tolerance": float(cfg["tol"])},
-                  grid)
-    return _EXIT_OK if ok else _EXIT_NEGATIVE
+    return _Outcome(_EXIT_OK if ok else _EXIT_NEGATIVE,
+                    {"residual_first": result.residual_first,
+                     "residual_second": result.residual_second,
+                     "scale_first": result.scale_first,
+                     "scale_second": result.scale_second,
+                     "tolerance": cfg["tol"]},
+                    grid)
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="JSON config file; flags override its values")
-    sp.add_argument("--json", help="write a JSON report to this path")
-    sp.add_argument("--out", help="write CSV output to this path")
+# -- the option table -------------------------------------------------------
+
+_N = _Option(int, 3, "ambient dimension")
+_K = _Option(int, 2, "order k")
+_BODY = _Option(str, "ball:1.0", "ball:R | box:a1,..,an | cube:i,j,.. | JSON | @file")
+_PSI = _Option(str, "x1sq", "x1sq | zonal4 | const[:c] | JSON | @file")
+_GRID = {
+    "grid_res": _Option(int, None, "grid resolution (default: reference resolution for n)"),
+    "grid_method": _Option(str, None, "grid construction (default: product-angular "
+                                      "for n <= 6, else monte-carlo)"),
+    "seed": _Option(int, None, "seed of a monte-carlo grid"),
+}
+
+#: subcommand -> (function, help, options)
+_COMMANDS: dict[str, tuple[Callable[[dict], _Outcome], str, dict[str, _Option]]] = {
+    "vk": (cmd_vk, "intrinsic volume of a body", {
+        "n": _N, "k": _K, "body": _BODY, **_GRID,
+        "vk_method": _Option(("auto", "quadrature", "closed-form"), "auto",
+                             "auto is quadrature for smooth bodies, else closed form"),
+    }),
+    "concavity": (cmd_concavity, "log-concavity scan of f_k along a path", {
+        "n": _N, "k": _K, "psi": _PSI, "amplitude": _Option(float, 0.01, "scale of psi"),
+        "body": _BODY, "s_min": _Option(float, -2.0, "first s"),
+        "s_max": _Option(float, 2.0, "last s"), "s_steps": _Option(int, 21, "number of s"),
+        **_GRID,
+    }),
+    "thresholds": (cmd_thresholds, "pbar_{n,k} failure threshold table", {
+        "n_min": _Option(int, 3, "first n"), "n_max": _Option(int, 10, "last n"),
+    }),
+    "counterexample": (cmd_counterexample, "certify p-Brunn-Minkowski failure for V_k", {
+        "n": _Option(int, 4, "ambient dimension"), "k": _K,
+        "p": _Option(float, None, "defaults to pbar/2"),
+        "sweep": _Option(bool, False, "every 2 <= k < n for n-min <= n <= n-max"),
+        "n_min": _Option(int, 3, "first n of a sweep"),
+        "n_max": _Option(int, 8, "last n of a sweep"),
+    }),
+    "christoffel": (cmd_christoffel, "Christoffel-Minkowski residual on a grid", {
+        "n": _N, "k": _K, "p": _Option(float, 0.5, "exponent p"), "body": _BODY, **_GRID,
+    }),
+    "poincare": (cmd_poincare, "sharpened Poincare inequality check", {
+        "n": _N, "psi": _PSI, "amplitude": _Option(float, None, "scale of psi"), **_GRID,
+    }),
+    "ibp-check": (cmd_ibp_check, "integration-by-parts identity residuals", {
+        "n": _N, "k": _Option(int, 1, "order k"), **_GRID,
+        "seed": _Option(int, 0, "seed of the random test functions and of the grid"),
+        "amplitude": _Option(float, 0.1, "scale of the random test functions"),
+        "tol": _Option(float, 1e-5, "largest residual that passes"),
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,96 +409,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("vk", help="intrinsic volume of a body")
-    _add_common(sp)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--body", help="ball:R | box:a1,..,an | cube:i,j,.. | JSON | @file")
-    sp.add_argument("--grid-res", dest="grid_res", type=int)
-    sp.add_argument("--grid-method", dest="grid_method")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--vk-method", dest="vk_method",
-                    choices=["auto", "quadrature", "closed-form"])
-    sp.set_defaults(func=cmd_vk)
-
-    sp = sub.add_parser("concavity", help="log-concavity scan of f_k along a path")
-    _add_common(sp)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--psi", help="x1sq | zonal4 | const[:c] | JSON | @file")
-    sp.add_argument("--amplitude", type=float)
-    sp.add_argument("--body")
-    sp.add_argument("--s-min", dest="s_min", type=float)
-    sp.add_argument("--s-max", dest="s_max", type=float)
-    sp.add_argument("--s-steps", dest="s_steps", type=int)
-    sp.add_argument("--grid-res", dest="grid_res", type=int)
-    sp.add_argument("--grid-method", dest="grid_method")
-    sp.add_argument("--seed", type=int)
-    sp.set_defaults(func=cmd_concavity)
-
-    sp = sub.add_parser("thresholds", help="pbar_{n,k} failure threshold table")
-    _add_common(sp)
-    sp.add_argument("--n-min", dest="n_min", type=int)
-    sp.add_argument("--n-max", dest="n_max", type=int)
-    sp.set_defaults(func=cmd_thresholds)
-
-    sp = sub.add_parser("counterexample",
-                        help="certify p-Brunn-Minkowski failure for V_k")
-    _add_common(sp)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--p", type=float, help="defaults to pbar/2")
-    sp.add_argument("--sweep", action="store_true", default=None)
-    sp.add_argument("--n-min", dest="n_min", type=int)
-    sp.add_argument("--n-max", dest="n_max", type=int)
-    sp.set_defaults(func=cmd_counterexample)
-
-    sp = sub.add_parser("christoffel", help="Christoffel-Minkowski residual on a grid")
-    _add_common(sp)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--body")
-    sp.add_argument("--grid-res", dest="grid_res", type=int)
-    sp.add_argument("--grid-method", dest="grid_method")
-    sp.add_argument("--seed", type=int)
-    sp.set_defaults(func=cmd_christoffel)
-
-    sp = sub.add_parser("poincare", help="sharpened Poincare inequality check")
-    _add_common(sp)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--psi")
-    sp.add_argument("--amplitude", type=float)
-    sp.add_argument("--grid-res", dest="grid_res", type=int)
-    sp.add_argument("--grid-method", dest="grid_method")
-    sp.add_argument("--seed", type=int)
-    sp.set_defaults(func=cmd_poincare)
-
-    sp = sub.add_parser("ibp-check", help="integration-by-parts identity residuals")
-    _add_common(sp)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--amplitude", type=float)
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--grid-res", dest="grid_res", type=int)
-    sp.add_argument("--grid-method", dest="grid_method")
-    sp.set_defaults(func=cmd_ibp_check)
-
+    for name, (_, help_text, options) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("--config", help="JSON config file; flags override its values")
+        sp.add_argument("--json", help="write a JSON report to this path")
+        sp.add_argument("--out", help="write CSV output to this path")
+        for key, opt in options.items():
+            # an unset flag stays None, so the config file or the default fills it
+            flag, kwargs = "--" + key.replace("_", "-"), {"dest": key, "help": opt.help}
+            if opt.kind is bool:
+                sp.add_argument(flag, action="store_true", default=None, **kwargs)
+            elif isinstance(opt.kind, tuple):
+                sp.add_argument(flag, choices=opt.kind, **kwargs)
+            else:
+                sp.add_argument(flag, type=opt.kind, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    run, _, options = _COMMANDS[args.command]
     try:
-        return args.func(args)
+        cfg = _effective_config(args, options)
+        outcome = run(cfg)
     except _UsageError as exc:
         parser.error(str(exc))
     except QuermassError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    _write_report(args.json, args.command, cfg, outcome.results, outcome.grid)
+    _write_csv(args.out, outcome.rows)
+    return outcome.code
 
 
 if __name__ == "__main__":

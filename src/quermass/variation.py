@@ -261,6 +261,8 @@ def concavity_scan(path: VariationPath, s_values=None,
     if s_values is None:
         s_values = np.linspace(S_WINDOW[0], S_WINDOW[1], 21)
     s_values = [float(_check_s(s)) for s in s_values]
+    if not s_values:
+        raise DomainError("concavity_scan needs at least one s value")
     f0 = f_k(path, 0.0)
     tol = tolerance_scale * f0 * f0
     fs, f1s, f2s, Hs = [], [], [], []

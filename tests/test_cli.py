@@ -206,3 +206,116 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+# Each subcommand's options with their defaults, written out as literals so
+# that the option table in quermass.cli cannot drift from them unnoticed.
+PINNED_DEFAULTS = {
+    "vk": {"n": 3, "k": 2, "body": "ball:1.0", "grid_res": None,
+           "grid_method": None, "seed": None, "vk_method": "auto"},
+    "concavity": {"n": 3, "k": 2, "psi": "x1sq", "amplitude": 0.01,
+                  "body": "ball:1.0", "s_min": -2.0, "s_max": 2.0, "s_steps": 21,
+                  "grid_res": None, "grid_method": None, "seed": None},
+    "thresholds": {"n_min": 3, "n_max": 10},
+    "counterexample": {"n": 4, "k": 2, "p": None, "sweep": False,
+                       "n_min": 3, "n_max": 8},
+    "christoffel": {"n": 3, "k": 2, "p": 0.5, "body": "ball:1.0",
+                    "grid_res": None, "grid_method": None, "seed": None},
+    "poincare": {"n": 3, "psi": "x1sq", "amplitude": None,
+                 "grid_res": None, "grid_method": None, "seed": None},
+    "ibp-check": {"n": 3, "k": 1, "seed": 0, "amplitude": 0.1, "tol": 1e-5,
+                  "grid_res": None, "grid_method": None},
+}
+
+
+@pytest.mark.parametrize("command", list(PINNED_DEFAULTS))
+def test_options_and_defaults_pinned(command, tmp_path, capsys):
+    pinned = PINNED_DEFAULTS[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    assert all("--" + key.replace("_", "-") in usage for key in pinned)
+
+    # without --config the report records exactly the pinned keys and defaults
+    report = tmp_path / "report.json"
+    assert main([command, "--json", str(report)]) == 0
+    assert json.loads(report.read_text())["config"] == pinned
+
+    # every pinned key is accepted by --config, and nothing else is
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(pinned))
+    assert main([command, "--config", str(cfg), "--json", str(report)]) == 0
+    assert json.loads(report.read_text())["config"] == pinned
+    cfg.write_text(json.dumps({**pinned, "extra_key": 1}))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "'extra_key'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("vk", "vk_method", "bogus"),      # not one of the flag's choices
+    ("counterexample", "sweep", "false"),  # a string, not a bool
+    ("vk", "grid_res", 6.7),           # not an integer
+    ("vk", "n", "x"),                  # not an integer
+])
+def test_bad_config_value_exits_2(command, key, value, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--config key {key!r}" in err and "Traceback" not in err
+
+
+def test_config_number_takes_the_flag_type(tmp_path, capsys):
+    # a whole JSON number for a float option is stored as the float the flag gives
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 1, "n_max": 4, "sweep": True}))
+    report = tmp_path / "ce.json"
+    assert main(["counterexample", "--config", str(cfg), "--json", str(report)]) == 3
+    assert repr(json.loads(report.read_text())["config"]["p"]) == "1.0"
+    assert "p=1.0000" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
+                         ids=["missing", "malformed", "not-an-object"])
+def test_unreadable_config_exits_2(content, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        main(["vk", "--config", str(cfg)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "cannot read --config" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["vk", "--body", "{not json"], "bad body spec"),
+    (["vk", "--body", "@MALFORMED"], "bad body spec"),
+    (["vk", "--body", "@MISSING"], "bad body spec"),
+    (["vk", "--body", '{"type": "ball"}'], "missing key 'radius'"),
+    (["vk", "--body", "box:1,x,1"], "bad body spec"),
+    (["vk", "--n", "4", "--body", "cube:0,x"], "bad body spec"),
+    (["poincare", "--psi", "{not json"], "bad psi spec"),
+    (["poincare", "--psi", "@MALFORMED"], "bad psi spec"),
+    (["poincare", "--psi", "@MISSING"], "bad psi spec"),
+    (["poincare", "--psi", '{"dimension": 3}'], "missing key 'terms'"),
+    (["poincare", "--psi", "const:x"], "bad psi spec"),
+])
+def test_bad_spec_exits_1(argv, message, tmp_path, capsys):
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"type": "ball",')
+    paths = {"@MALFORMED": "@" + str(malformed), "@MISSING": "@" + str(tmp_path / "no.json")}
+    assert main([paths.get(a, a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_concavity_zero_steps_exits_1(capsys):
+    assert main(["concavity", "--s-steps", "0"]) == 1
+    assert "at least one s value" in capsys.readouterr().err

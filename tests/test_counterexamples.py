@@ -153,7 +153,8 @@ def test_box_bound_at_half_threshold_frozen():
 
 
 def test_verify_counterexample_below_threshold():
-    for n in range(3, 9):
+    # the module docstring claims p = pbar/2 is decided for 3 <= n <= 30
+    for n in range(3, 31):
         for k in range(2, n):
             v = verify_counterexample(n, k, threshold_pbar(n, k) / 2.0)
             assert v.conclusion == "inequality-fails"

@@ -236,6 +236,13 @@ def test_scan_custom_s_values(grid3):
     assert rep.s_values == (-1.0, 0.0, 1.0)
 
 
+def test_scan_rejects_empty_s_values(grid3):
+    # np.all of an empty array is true, so an empty scan would read strictly-concave
+    path = VariationPath(Ball(1.0), TestFunction.coordinate_harmonic(3).scaled(0.01), 2, grid3)
+    with pytest.raises(DomainError, match="at least one s value"):
+        concavity_scan(path, [])
+
+
 # -- sharpened Poincare -----------------------------------------------------
 
 def test_poincare_degree2_equality(grid3, grid4):
