@@ -247,8 +247,7 @@ def _direction_array(dirs) -> np.ndarray:
     return np.asarray(dirs, dtype=float)
 
 
-def wulff_support_upper(dirs, values: np.ndarray, u: np.ndarray,
-                        tol: float = 1e-9):
+def wulff_support_upper(dirs, values: np.ndarray, u: np.ndarray):
     """Upper bound for the support of the Wulff shape K[f] at direction u.
 
     Maximizes u.x over the outer polytope {x : x.y_j <= f_j}; the result
@@ -267,7 +266,7 @@ def wulff_support_upper(dirs, values: np.ndarray, u: np.ndarray,
     if np.any(f < 0.0):
         raise DomainError("gauge values must be non-negative")
     u = _check_unit(u)
-    return support_lp(D, f, u, tol=tol)
+    return support_lp(D, f, u)
 
 
 def wulff_membership(dirs, values: np.ndarray, x: np.ndarray,

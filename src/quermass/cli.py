@@ -15,9 +15,11 @@ Each option is declared once, in ``_COMMANDS``, which makes its flag
 config file (--config) against the same type or choices.  Explicit flags
 override file values, which override built-in defaults.  Reports are
 written as JSON (--json) carrying the package version, the effective
-configuration and a SHA-256 fingerprint of the quadrature grid; tables go
-to CSV (--out).  Runs are deterministic for a fixed configuration and
-seed, producing byte-identical outputs.
+configuration and a SHA-256 fingerprint of the quadrature grid.  Every
+subcommand writes CSV (--out): a header row, then one row per result (a
+table row, an s value, a grid node or the single result).  Runs are
+deterministic for a fixed configuration and seed, producing byte-identical
+outputs.
 
 Exit codes: 0 success (and affirmative outcome for check-style commands);
 1 runtime error (a bad or unreadable body or psi spec, an unsupported
@@ -212,15 +214,7 @@ def cmd_vk(cfg: dict) -> _Outcome:
     if method == "auto":
         method = "quadrature" if body.is_smooth else "closed-form"
     if method == "closed-form":
-        if isinstance(body, bodies_mod.Ball):
-            result = intrinsic.vk_ball(n, k, body.radius)
-        elif isinstance(body, bodies_mod.Box):
-            result = intrinsic.vk_box(body.half_lengths, k)
-        elif isinstance(body, bodies_mod.EmbeddedCube):
-            half = tuple(1.0 if i in body.indices else 0.0 for i in range(n))
-            result = intrinsic.vk_box(half, k)
-        else:
-            raise QuermassError("no closed form for this body; use quadrature")
+        result = intrinsic.vk_closed_form(body, k, n)
     else:
         grid = _make_grid(cfg)
         result = intrinsic.vk_quadrature(body, k, grid)
@@ -242,6 +236,9 @@ def cmd_vk(cfg: dict) -> _Outcome:
 
 def cmd_concavity(cfg: dict) -> _Outcome:
     n, k = cfg["n"], cfg["k"]
+    if cfg["s_steps"] < 1:
+        raise QuermassError(f"--s-steps must be >= 1 (a scan needs at least one s value), "
+                            f"got {cfg['s_steps']}")
     grid = _make_grid(cfg)
     psi = _parse_psi(cfg["psi"], n, cfg["amplitude"])
     body = _parse_body(cfg["body"], n)
@@ -317,14 +314,16 @@ def cmd_poincare(cfg: dict) -> _Outcome:
     print(f"poincare n={n}: int psi^2 = {result.lhs:.9e}, "
           f"(1/2n) int |grad|^2 = {result.rhs:.9e}, ratio = {result.ratio:.9f}, "
           f"satisfied = {result.satisfied}")
-    return _Outcome(_EXIT_OK if result.satisfied else _EXIT_NEGATIVE,
-                    {"lhs": result.lhs, "rhs": result.rhs, "ratio": result.ratio,
-                     "satisfied": result.satisfied, "degenerate": result.degenerate},
-                    grid)
+    results = {"lhs": result.lhs, "rhs": result.rhs, "ratio": result.ratio,
+               "satisfied": result.satisfied, "degenerate": result.degenerate}
+    rows = [["n", *results], [n, *results.values()]]
+    return _Outcome(_EXIT_OK if result.satisfied else _EXIT_NEGATIVE, results, grid, rows)
 
 
 def cmd_ibp_check(cfg: dict) -> _Outcome:
     n, k = cfg["n"], cfg["k"]
+    if cfg["seed"] < 0:
+        raise QuermassError(f"--seed must be >= 0, got {cfg['seed']}")
     grid = _make_grid(cfg)
     rng = np.random.default_rng(cfg["seed"])
     amp = cfg["amplitude"]
@@ -341,13 +340,13 @@ def cmd_ibp_check(cfg: dict) -> _Outcome:
     print(f"ibp-check n={n} k={k} seed={cfg['seed']}: "
           f"residuals {result.residual_first:.3e}, {result.residual_second:.3e} "
           f"(tol {cfg['tol']:g}) -> {'ok' if ok else 'FAIL'}")
-    return _Outcome(_EXIT_OK if ok else _EXIT_NEGATIVE,
-                    {"residual_first": result.residual_first,
-                     "residual_second": result.residual_second,
-                     "scale_first": result.scale_first,
-                     "scale_second": result.scale_second,
-                     "tolerance": cfg["tol"]},
-                    grid)
+    results = {"residual_first": result.residual_first,
+               "residual_second": result.residual_second,
+               "scale_first": result.scale_first,
+               "scale_second": result.scale_second,
+               "tolerance": cfg["tol"]}
+    rows = [["n", "k", "seed", *results], [n, k, cfg["seed"], *results.values()]]
+    return _Outcome(_EXIT_OK if ok else _EXIT_NEGATIVE, results, grid, rows)
 
 
 # -- the option table -------------------------------------------------------

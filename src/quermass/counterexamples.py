@@ -48,13 +48,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bodies import Body, Box, EmbeddedCube, PMeanSpec, pmean_values, wulff_support_upper
+from .bodies import Body, Box, EmbeddedCube, PMeanSpec, WulffSampled, pmean_values
 from .errors import DomainError
-from .intrinsic import unit_ball_volume, vk_box
+from .intrinsic import unit_ball_volume, vk_box, vk_closed_form
 from .sphere import REFERENCE_RESOLUTION, SphericalGrid, build_grid
 
 #: Guard band for strict comparisons of rigorously bounded quantities.
 COMPARISON_GUARD = 1e-12
+#: Slack allowed when the V_1 bound is compared with the reverse inequality.
+REVERSE_TOLERANCE = 1e-9
 
 
 def _check_nk(n: int, k: int) -> None:
@@ -82,15 +84,20 @@ def branch(n: int, k: int) -> str:
     return "high"
 
 
-def threshold_pbar(n: int, k: int) -> float:
-    """Failure threshold pbar_{n,k}; the inequality fails for all p < pbar."""
+def _branch_constants(n: int, k: int) -> tuple[float, int]:
+    """(C, e) of the branch: the box bound is 2^k C 2^{-e/p}, so pbar = e / log2 C."""
     b = branch(n, k)
     if b == "low":
-        return k / math.log2(math.comb(2 * k, k))
+        return math.comb(2 * k, k), k
     if b == "middle":
-        total = sum(math.comb(2 * (n - k), i) for i in range(1, k + 1))
-        return 1.0 / math.log2(total)
-    return 1.0 / math.log2(2.0 ** (2 * (n - k)) - 1.0)
+        return sum(math.comb(2 * (n - k), i) for i in range(1, k + 1)), 1
+    return 2.0 ** (2 * (n - k)) - 1.0, 1
+
+
+def threshold_pbar(n: int, k: int) -> float:
+    """Failure threshold pbar_{n,k}; the inequality fails for all p < pbar."""
+    count, exponent = _branch_constants(n, k)
+    return exponent / math.log2(count)
 
 
 def enclosing_box(n: int, k: int, p: float) -> Box:
@@ -137,14 +144,8 @@ def upper_bound_vk_kp(n: int, k: int, p: float) -> UpperBound:
     """
     box = enclosing_box(n, k, p)
     box_value = vk_box(box.half_lengths, k).value
-    b = branch(n, k)
-    if b == "low":
-        displayed = 2.0 ** k * math.comb(2 * k, k) * 2.0 ** (-k / p)
-    elif b == "middle":
-        total = sum(math.comb(2 * (n - k), i) for i in range(1, k + 1))
-        displayed = 2.0 ** k * total * 2.0 ** (-1.0 / p)
-    else:
-        displayed = 2.0 ** k * (2.0 ** (2 * (n - k)) - 1.0) * 2.0 ** (-1.0 / p)
+    count, exponent = _branch_constants(n, k)
+    displayed = 2.0 ** k * count * 2.0 ** (-exponent / p)
     return UpperBound(box_value=box_value, displayed_value=displayed, box=box)
 
 
@@ -178,16 +179,17 @@ class Verdict:
         }
 
 
-def verify_counterexample(n: int, k: int, p: float, guard: float = COMPARISON_GUARD) -> Verdict:
+def verify_counterexample(n: int, k: int, p: float) -> Verdict:
     """Certify failure of the p-Brunn-Minkowski inequality for V_k at t = 1/2.
 
     The inequality would give V_k(K_p)^{p/k} >= (1/2) V_k(K_0)^{p/k} +
     (1/2) V_k(K_1)^{p/k}, i.e. V_k(K_p) >= 2^k.  The verdict compares the
     rigorous upper bound V_k(enclosing box) with 2^k:
 
-    - bound < 2^k - guard   -> ``inequality-fails`` with positive margin;
-    - otherwise             -> ``inconclusive`` (an upper bound above the
-      target proves nothing either way).
+    - bound < 2^k - COMPARISON_GUARD -> ``inequality-fails`` with positive
+      margin;
+    - otherwise -> ``inconclusive`` (an upper bound above the target proves
+      nothing either way).
     """
     _check_nk(n, k)
     if not 0.0 < p <= 1.0:
@@ -197,13 +199,13 @@ def verify_counterexample(n: int, k: int, p: float, guard: float = COMPARISON_GU
     # Comparison scale of the stated inequality: V_k^{p/k}.
     lhs_scaled = ub.box_value ** (p / k)
     rhs_scaled = target ** (p / k)
-    fails = ub.box_value < target - guard
+    fails = ub.box_value < target - COMPARISON_GUARD
     verdict = "inequality-fails" if fails else "inconclusive"
     return Verdict(
         lhs=lhs_scaled,
         rhs=rhs_scaled,
         margin=rhs_scaled - lhs_scaled,
-        tolerance=guard,
+        tolerance=COMPARISON_GUARD,
         method="enclosing-box",
         conclusion=verdict,
         extras={
@@ -234,8 +236,7 @@ def threshold_table(n_min: int = 3, n_max: int = 10) -> list[dict]:
     return rows
 
 
-def containment_check(n: int, k: int, p: float, grid: SphericalGrid,
-                      tol: float = 1e-9) -> float:
+def containment_check(n: int, k: int, p: float, grid: SphericalGrid) -> float:
     """Max violation of h_box >= (LP support bound of K_p) over grid nodes.
 
     A non-positive return certifies, on the sampled directions, that the
@@ -248,45 +249,14 @@ def containment_check(n: int, k: int, p: float, grid: SphericalGrid,
     spec = PMeanSpec(p, 0.5, K0, K1)
     dirs = np.vstack([grid.nodes, np.eye(n), -np.eye(n)])
     gauge = pmean_values(spec, dirs)
-    box = enclosing_box(n, k, p)
-    worst = -math.inf
-    for u in grid.nodes:
-        val, _ = wulff_support_upper(dirs, gauge, u, tol=tol)
-        h_box = float(box.support_values(u[None, :])[0])
-        worst = max(worst, val - h_box)
-    return worst
-
-
-def exact_v1_ball(n: int, radius: float) -> float:
-    """V_1 of a ball: n kappa_n R / kappa_{n-1} (e.g. 4 for the unit 3-ball)."""
-    return n * unit_ball_volume(n) * radius / unit_ball_volume(n - 1)
-
-
-def exact_v1(body: Body, n: int | None = None) -> float:
-    """V_1 for bodies with closed-form mean width (Ball, Box, EmbeddedCube).
-
-    A Ball carries no ambient dimension, so ``n`` is required for it.
-    """
-    from .bodies import Ball
-
-    if isinstance(body, Ball):
-        if n is None:
-            raise DomainError("exact_v1 of a Ball needs the ambient dimension n")
-        return exact_v1_ball(n, body.radius)
-    if isinstance(body, EmbeddedCube):
-        return 2.0 * len(body.indices)
-    if isinstance(body, Box):
-        return 2.0 * float(sum(body.half_lengths))
-    raise DomainError(f"no closed-form V_1 for {type(body).__name__}")
-
-
-def _v1_value(body: Body, n: int) -> float:
-    return exact_v1(body, n)
+    lp = WulffSampled(dirs, gauge).support_values(grid.nodes)
+    # one (1, n) row per node, so each h_box rounds as a single-direction call
+    h_box = enclosing_box(n, k, p).support_values(grid.nodes[:, None, :])[:, 0]
+    return float(np.max(lp - h_box))
 
 
 def v1_reverse_check(body0: Body, body1: Body, p: float, t: float, n: int,
                      grid: SphericalGrid | None = None,
-                     tol: float = 1e-9,
                      wulff_estimate: bool = False) -> Verdict:
     """Check the reverse inequality for the mean-width functional V_1:
 
@@ -302,8 +272,8 @@ def v1_reverse_check(body0: Body, body1: Body, p: float, t: float, n: int,
     acceptance-grade equality cases carry no quadrature error at all.
 
     ``conclusion`` is ``holds`` when the bound certifies the inequality
-    within ``tol``, else ``inconclusive`` (the bound, not the inequality,
-    failed; refine the grid).  The non-rigorous arithmetic-mean bound and,
+    within ``REVERSE_TOLERANCE``, else ``inconclusive`` (the bound, not the
+    inequality, failed; refine the grid).  The non-rigorous arithmetic-mean bound and,
     optionally, a Wulff LP estimate of the left side land in ``extras``.
 
     ``grid=None`` picks a product-angular grid for 3 <= n <= 6 (finer for
@@ -313,8 +283,8 @@ def v1_reverse_check(body0: Body, body1: Body, p: float, t: float, n: int,
         raise DomainError(f"p must lie in [0, 1], got {p}")
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"t must lie in [0, 1], got {t}")
-    v0 = _v1_value(body0, n)
-    v1 = _v1_value(body1, n)
+    v0 = vk_closed_form(body0, 1, n).value
+    v1 = vk_closed_form(body1, 1, n).value
     if p == 0.0:
         rhs = v0 ** (1.0 - t) * v1 ** t if v0 > 0.0 and v1 > 0.0 else 0.0
     else:
@@ -362,19 +332,17 @@ def v1_reverse_check(body0: Body, body1: Body, p: float, t: float, n: int,
         lhs = mean_width_bound ** p if p > 0.0 else mean_width_bound
         method = "gauge-mean-width-bound"
     if wulff_estimate:
-        vals = np.empty(grid.node_count)
-        for i, u in enumerate(grid.nodes):
-            vals[i], _ = wulff_support_upper(grid.nodes, gauge, u)
+        vals = WulffSampled(grid.nodes, gauge).support_values(grid.nodes)
         est = float(np.dot(grid.weights, vals)) / kappa
         extras["v1_wulff_estimate"] = est ** p if p > 0.0 else est
 
     margin = rhs - lhs
-    conclusion = "holds" if lhs <= rhs + tol else "inconclusive"
+    conclusion = "holds" if lhs <= rhs + REVERSE_TOLERANCE else "inconclusive"
     return Verdict(
         lhs=lhs,
         rhs=rhs,
         margin=margin,
-        tolerance=tol,
+        tolerance=REVERSE_TOLERANCE,
         method=method,
         conclusion=conclusion,
         extras=extras,

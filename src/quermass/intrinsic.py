@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus
-from .bodies import Body, require_smooth
+from .bodies import Ball, Body, Box, EmbeddedCube, require_smooth
 from .errors import DomainError
 # KAPPA and unit_ball_volume live in sphere and stay importable from here.
 from .sphere import (KAPPA, SphericalGrid, TangentFrame, build_grid,
@@ -269,3 +269,21 @@ def vk_box(half_lengths, k: int) -> IntrinsicVolumeResult:
         for j in range(k, 0, -1):
             e[j] += v * e[j - 1]
     return IntrinsicVolumeResult(value=(2.0 ** k) * e[k], k=k, method="box-formula")
+
+
+def vk_closed_form(body: Body, k: int, n: int | None = None) -> IntrinsicVolumeResult:
+    """V_k of a body with a closed form: a Ball, a Box or an EmbeddedCube.
+
+    A Ball carries no ambient dimension, so ``n`` is required for it; an
+    EmbeddedCube is the box with half-lengths 1 on its indices and 0 on the
+    other coordinates of its own dimension.  Other bodies raise DomainError.
+    """
+    if isinstance(body, Ball):
+        if n is None:
+            raise DomainError("closed-form V_k of a Ball needs the ambient dimension n")
+        return vk_ball(n, k, body.radius)
+    if isinstance(body, Box):
+        return vk_box(body.half_lengths, k)
+    if isinstance(body, EmbeddedCube):
+        return vk_box([float(i in body.indices) for i in range(body.dimension)], k)
+    raise DomainError(f"no closed-form V_k for {type(body).__name__}; use quadrature")

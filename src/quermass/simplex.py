@@ -14,12 +14,15 @@ import numpy as np
 
 from .errors import NumericalError, WulffUnboundedError
 
+#: Pivoting and feasibility tolerance of the simplex steps.
+TOL = 1e-9
+
 
 class _DualUnbounded(Exception):
     pass
 
 
-def _simplex_core(A, b, c, basis, allowed, tol, max_iter):
+def _simplex_core(A, b, c, basis, allowed, max_iter):
     """Minimize c.lam s.t. A lam = b, lam >= 0 starting from a feasible basis.
 
     ``allowed`` marks columns permitted to enter the basis.  Bland's rule
@@ -37,24 +40,23 @@ def _simplex_core(A, b, c, basis, allowed, tol, max_iter):
             raise NumericalError("singular basis in simplex") from exc
         lam_B = np.where(lam_B < 0.0, 0.0, lam_B)
         reduced = c - A.T @ y
-        candidates = np.flatnonzero(allowed & (reduced < -tol))
+        candidates = np.flatnonzero(allowed & (reduced < -TOL))
         if candidates.size == 0:
             return basis, lam_B
         enter = int(candidates[0])
         w = np.linalg.solve(B, A[:, enter])
-        positive = np.flatnonzero(w > tol)
+        positive = np.flatnonzero(w > TOL)
         if positive.size == 0:
             raise _DualUnbounded()
         ratios = lam_B[positive] / w[positive]
         theta = ratios.min()
-        ties = positive[ratios <= theta + tol * (1.0 + abs(theta))]
+        ties = positive[ratios <= theta + TOL * (1.0 + abs(theta))]
         leave_pos = min(ties, key=lambda i: basis[i])
         basis[leave_pos] = enter
     raise NumericalError("simplex iteration limit exceeded")
 
 
-def support_lp(directions: np.ndarray, values: np.ndarray, u: np.ndarray,
-               tol: float = 1e-9):
+def support_lp(directions: np.ndarray, values: np.ndarray, u: np.ndarray):
     """Maximize u.x over {x : directions @ x <= values}.
 
     Parameters
@@ -72,7 +74,7 @@ def support_lp(directions: np.ndarray, values: np.ndarray, u: np.ndarray,
     value : float
         The optimal objective value.
     x : (n,) array
-        An optimal point; feasible within ``tol``.
+        An optimal point; feasible within ``TOL``.
 
     Raises
     ------
@@ -95,10 +97,10 @@ def support_lp(directions: np.ndarray, values: np.ndarray, u: np.ndarray,
     allowed = np.ones(m + n, dtype=bool)
     basis = list(range(m, m + n))
     try:
-        basis, lam_B = _simplex_core(A, b, c1, basis, allowed, tol, max_iter)
+        basis, lam_B = _simplex_core(A, b, c1, basis, allowed, max_iter)
     except _DualUnbounded as exc:
         raise NumericalError("phase-1 subproblem unbounded") from exc
-    if float(c1[basis] @ lam_B) > 1e3 * tol * (1.0 + np.abs(u).sum()):
+    if float(c1[basis] @ lam_B) > 1e3 * TOL * (1.0 + np.abs(u).sum()):
         raise WulffUnboundedError(
             "support LP unbounded: sampled directions do not positively span "
             "the objective direction; refine the grid"
@@ -111,7 +113,7 @@ def support_lp(directions: np.ndarray, values: np.ndarray, u: np.ndarray,
                 if j in basis:
                     continue
                 w = np.linalg.solve(B, A[:, j])
-                if abs(w[pos]) > 1e3 * tol:
+                if abs(w[pos]) > 1e3 * TOL:
                     basis[pos] = j
                     break
             else:
@@ -121,7 +123,7 @@ def support_lp(directions: np.ndarray, values: np.ndarray, u: np.ndarray,
     c2 = np.concatenate([f, np.zeros(n)])
     allowed = np.concatenate([np.ones(m, dtype=bool), np.zeros(n, dtype=bool)])
     try:
-        basis, lam_B = _simplex_core(A, b, c2, basis, allowed, tol, max_iter)
+        basis, lam_B = _simplex_core(A, b, c2, basis, allowed, max_iter)
     except _DualUnbounded as exc:
         # Dual unbounded below means the primal is infeasible; cannot occur
         # for values >= 0 (x = 0 feasible), so treat as numerical failure.

@@ -351,7 +351,7 @@ def build_grid(n: int, resolution: int, method: str, seed: int | None = None) ->
     ConfigurationError
         For an unsupported (n, method) pairing.
     DomainError
-        For a non-positive resolution or n < 2.
+        For a non-positive resolution, n < 2 or a negative monte-carlo seed.
     """
     if n < 2:
         raise DomainError(f"sphere dimension must satisfy n >= 2, got n={n}")
@@ -379,6 +379,8 @@ def build_grid(n: int, resolution: int, method: str, seed: int | None = None) ->
         weights = np.concatenate([half_weights, half_weights])
     else:  # monte-carlo
         used_seed = 0 if seed is None else int(seed)
+        if used_seed < 0:
+            raise DomainError(f"monte-carlo seed must be >= 0, got {used_seed}")
         nodes, weights = _monte_carlo_half(n, resolution, used_seed)
 
     if not np.all(weights > 0.0):

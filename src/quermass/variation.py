@@ -62,7 +62,8 @@ class VariationPath:
     """The family h_s = h e^{s psi} for a smooth base body.
 
     Construction verifies that Q[h_s] is positive definite at every grid
-    node for s in {-2, -1, 0, 1, 2}; computed node data is cached per s.
+    node for s in {-2, -1, 0, 1, 2}.  Node data is cached for s = 0, which
+    fixes the tolerance of a scan, and for the most recent s only.
     """
 
     body: Body
@@ -100,7 +101,7 @@ class VariationPath:
 
         return g
 
-    # -- cached per-s node data -------------------------------------------
+    # -- node data of s = 0 and of the latest s ----------------------------
     def _node_data(self, s: float) -> dict:
         key = float(s)
         data = self._cache.get(key)
@@ -123,6 +124,7 @@ class VariationPath:
                 "Q": Q,
                 "dens": _elem_sym_all_batch(Q)[:, self.k - 1],
             }
+            self._cache = {s0: d for s0, d in self._cache.items() if s0 == 0.0}
             self._cache[key] = data
         return data
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -34,6 +35,17 @@ def test_vk_embedded_cube_closed_form(capsys):
     rc = main(["vk", "--n", "4", "--k", "2", "--body", "cube:0,1"])
     assert rc == 0
     assert "4.0" in capsys.readouterr().out
+
+
+def test_vk_json_cube_uses_its_own_dimension(tmp_path, capsys):
+    # a JSON cube in R^5 keeps its indices 3 and 4 when --n is 3: V_1 = 2 * 2
+    body = json.dumps({"type": "embedded_cube", "dimension": 5, "indices": [3, 4]})
+    report = tmp_path / "vk.json"
+    rc = main(["vk", "--n", "3", "--k", "1", "--vk-method", "closed-form",
+               "--body", body, "--json", str(report)])
+    assert rc == 0
+    assert json.loads(report.read_text())["results"]["value"] == 4.0
+    assert "V_1 = 4.0" in capsys.readouterr().out
 
 
 def test_vk_quadrature_report(tmp_path, capsys):
@@ -305,6 +317,10 @@ def test_unreadable_config_exits_2(content, tmp_path, capsys):
     (["poincare", "--psi", "@MISSING"], "bad psi spec"),
     (["poincare", "--psi", '{"dimension": 3}'], "missing key 'terms'"),
     (["poincare", "--psi", "const:x"], "bad psi spec"),
+    (["concavity", "--s-steps", "-1"], "--s-steps must be >= 1"),
+    (["ibp-check", "--seed", "-1"], "--seed must be >= 0"),
+    (["vk", "--grid-method", "monte-carlo", "--grid-res", "100", "--seed", "-2"],
+     "monte-carlo seed must be >= 0"),
 ])
 def test_bad_spec_exits_1(argv, message, tmp_path, capsys):
     malformed = tmp_path / "malformed.json"
@@ -319,3 +335,13 @@ def test_bad_spec_exits_1(argv, message, tmp_path, capsys):
 def test_concavity_zero_steps_exits_1(capsys):
     assert main(["concavity", "--s-steps", "0"]) == 1
     assert "at least one s value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", list(PINNED_DEFAULTS))
+def test_out_writes_csv_with_header(command, tmp_path, capsys):
+    table = tmp_path / "out.csv"
+    assert main([command, "--out", str(table)]) == 0
+    rows = list(csv.reader(table.read_text().splitlines()))
+    assert len(rows) >= 2
+    assert all(cell.isidentifier() for cell in rows[0])
+    assert all(len(row) == len(rows[0]) for row in rows[1:])

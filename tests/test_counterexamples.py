@@ -13,14 +13,14 @@ from quermass import (
     containment_check,
     cube_pair,
     enclosing_box,
-    exact_v1,
     threshold_pbar,
     threshold_table,
     upper_bound_vk_kp,
     v1_reverse_check,
     verify_counterexample,
+    vk_ball,
+    vk_closed_form,
 )
-from quermass.counterexamples import exact_v1_ball
 
 
 def test_cube_pair_geometry():
@@ -204,14 +204,18 @@ def test_containment_certificate_overlap_case(grid3):
 
 
 def test_exact_v1_values():
-    assert_allclose(exact_v1_ball(3, 1.0), 4.0, rtol=1e-15)
-    assert_allclose(exact_v1(Ball(1.0), n=3), 4.0, rtol=1e-15)
-    assert_allclose(exact_v1(Ball(2.0), n=4), 2.0 * unit_ball_ratio(4), rtol=1e-12)
-    assert exact_v1(EmbeddedCube(5, (0, 1))) == 4.0
-    assert exact_v1(Box((1.0, 1.0, 1.0))) == 6.0
-    assert exact_v1(Box((0.5, 2.0))) == 5.0
+    # the V_1 values v1_reverse_check starts from
+    def v1(body, n=None):
+        return vk_closed_form(body, 1, n).value
+
+    assert_allclose(vk_ball(3, 1, 1.0).value, 4.0, rtol=1e-15)
+    assert_allclose(v1(Ball(1.0), n=3), 4.0, rtol=1e-15)
+    assert_allclose(v1(Ball(2.0), n=4), 2.0 * unit_ball_ratio(4), rtol=1e-12)
+    assert v1(EmbeddedCube(5, (0, 1))) == 4.0
+    assert v1(Box((1.0, 1.0, 1.0))) == 6.0
+    assert v1(Box((0.5, 2.0))) == 5.0
     with pytest.raises(DomainError):
-        exact_v1(Ball(1.0))
+        v1(Ball(1.0))
 
 
 def unit_ball_ratio(n):

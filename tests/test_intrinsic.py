@@ -15,6 +15,7 @@ from quermass import (
     LogPerturbedBall,
     TestFunction,
     UnsupportedBodyError,
+    WulffSampled,
     area_measure_density,
     cofactor,
     elem_sym,
@@ -25,6 +26,7 @@ from quermass import (
     unit_ball_volume,
     vk_ball,
     vk_box,
+    vk_closed_form,
     vk_quadrature,
 )
 from quermass import intrinsic, sphere
@@ -36,10 +38,14 @@ def _random_symmetric(rng, N):
     return (M + M.T) / 2.0
 
 
-def _elem_sym_eigen(r, A):
-    # oracle: sum over r-subsets of eigenvalue products
-    w = np.linalg.eigvalsh(A)
+def _elem_sym_values(r, w):
+    # e_r of a vector: sum over r-subsets of products
     return float(sum(np.prod(list(c)) for c in itertools.combinations(w, r)))
+
+
+def _elem_sym_eigen(r, A):
+    # oracle: e_r of the eigenvalues
+    return _elem_sym_values(r, np.linalg.eigvalsh(A))
 
 
 def _second_cofactor_eigen(r, A, X):
@@ -230,6 +236,31 @@ def _cofactor_cases(draw):
     return r, A, _unit(X), _unit(Y)
 
 
+@st.composite
+def _symmetric_cases(draw, r_min):
+    N = draw(st.integers(max(r_min, 1), 5))
+    return draw(st.integers(r_min, N)), draw(_symmetric_matrices(N))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_symmetric_cases(0))
+def test_elem_sym_is_eigenvalue_elem_sym(case):
+    r, A = case
+    assert abs(elem_sym(r, A) - _elem_sym_eigen(r, A)) <= 1e-12 * (1.0 + np.linalg.norm(A)) ** r
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_symmetric_cases(1))
+def test_cofactor_is_eigenvector_formula(case):
+    # with A = V diag(w) V^T, dS_r/dA = V diag(e_{r-1}(w without w_i)) V^T
+    r, A = case
+    w, V = np.linalg.eigh(A)
+    d = [_elem_sym_values(r - 1, np.delete(w, i)) for i in range(w.size)]
+    want = (V * d) @ V.T
+    err = np.max(np.abs(cofactor(r, A) - want))
+    assert err <= 1e-12 * (1.0 + np.linalg.norm(A)) ** (r - 1)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(_cofactor_cases())
 def test_second_cofactor_batch_symmetric(case):
@@ -370,3 +401,13 @@ def test_vk_monotone_under_inclusion(grid3):
         small = vk_quadrature(Ball(1.0), k, grid3).value
         big = vk_quadrature(Ball(1.2), k, grid3).value
         assert small < big
+
+
+@pytest.mark.parametrize("body", [
+    LogPerturbedBall(TestFunction.coordinate_harmonic(3), 0.1),
+    WulffSampled(np.vstack([np.eye(3), -np.eye(3)]), np.ones(6)),
+    Ball(1.0),  # no ambient dimension given
+], ids=["log-perturbed-ball", "wulff-sampled", "ball-without-n"])
+def test_vk_closed_form_rejects(body):
+    with pytest.raises(DomainError):
+        vk_closed_form(body, 1)

@@ -236,6 +236,24 @@ def test_scan_custom_s_values(grid3):
     assert rep.s_values == (-1.0, 0.0, 1.0)
 
 
+def test_scan_caches_two_s_values(grid3):
+    # node data is kept for s = 0 and the latest s only, and the values do
+    # not depend on what the cache held before
+    psi = TestFunction.quadratic(np.diag([1.0, -0.5, -0.5]), amplitude=0.02)
+    s_values = np.linspace(-2.0, 2.0, 41)
+    path = VariationPath(Ball(1.0), psi, 3, grid3)
+    rep = concavity_scan(path, s_values)
+    assert set(path._cache) == {0.0, 2.0}
+    assert concavity_scan(path, s_values) == rep
+    fresh_path = VariationPath(Ball(1.0), psi, 3, grid3)
+    fresh = concavity_scan(fresh_path, s_values[::-1])
+    assert set(fresh_path._cache) == {0.0, -2.0}
+    for name in ("s_values", "f_values", "fprime_values", "fsecond_values",
+                 "concavity_values"):
+        assert getattr(fresh, name)[::-1] == getattr(rep, name)
+    assert (fresh.tolerance, fresh.verdict) == (rep.tolerance, rep.verdict)
+
+
 def test_scan_rejects_empty_s_values(grid3):
     # np.all of an empty array is true, so an empty scan would read strictly-concave
     path = VariationPath(Ball(1.0), TestFunction.coordinate_harmonic(3).scaled(0.01), 2, grid3)
