@@ -103,9 +103,17 @@ def _parse_psi(spec: str, n: int, amplitude: float | None) -> TestFunction:
     return psi
 
 
-def _make_grid(cfg: dict) -> SphericalGrid:
+def _make_grid(cfg: dict, seed_used_elsewhere: bool = False) -> SphericalGrid:
+    """The grid of ``cfg``.
+
+    Only a monte-carlo grid takes a seed, so an explicit seed on another
+    grid is a usage error, unless the command uses it for something else.
+    """
     n = cfg["n"]
     method = cfg["grid_method"] or ("product-angular" if n <= 6 else "monte-carlo")
+    if cfg["seed"] is not None and method != "monte-carlo" and not seed_used_elsewhere:
+        raise _UsageError(f"seed {cfg['seed']} is set but the {method} grid takes no seed; "
+                          f"only a monte-carlo grid does")
     res = cfg["grid_res"]
     if res is None:
         res = REFERENCE_RESOLUTION.get(n, 4) if method != "monte-carlo" else 20000
@@ -324,7 +332,7 @@ def cmd_ibp_check(cfg: dict) -> _Outcome:
     n, k = cfg["n"], cfg["k"]
     if cfg["seed"] < 0:
         raise QuermassError(f"--seed must be >= 0, got {cfg['seed']}")
-    grid = _make_grid(cfg)
+    grid = _make_grid(cfg, seed_used_elsewhere=True)
     rng = np.random.default_rng(cfg["seed"])
     amp = cfg["amplitude"]
 

@@ -9,9 +9,9 @@ a coordinate direction +-e_i is
     1         if both do (overlap block, k > n/2),
     0         if neither (gap block, k < n/2),
 
-and since the gauge is a coordinate-wise even, monotone function, K_p is
-contained in the axis-aligned box with those half-lengths.  Comparing
-V_k of the box with 2^k yields the failure threshold
+and K_p is the axis-aligned box with those half-lengths (see
+``enclosing_box``).  Bounding V_k of the box by a per-branch closed form
+and setting it equal to 2^k gives the threshold
 
     pbar_{n,k} =
       k / log2 binom(2k, k)                          if 2k <= n      (low)
@@ -19,17 +19,25 @@ V_k of the box with 2^k yields the failure threshold
                                                      i.e. 3k <= 2n   (middle)
       1 / log2 ( 2^{2(n-k)} - 1 )                    if 3k > 2n      (high)
 
-below which the inequality
+for the inequality
 
     V_k((1-t).K_0 +_p t.K_1)^{p/k} >= (1-t) V_k(K_0)^{p/k} + t V_k(K_1)^{p/k}
 
-fails at t = 1/2.  The certificate implemented here compares V_k of the
-enclosing box against 2^k directly; it decides every case at p = pbar/2
-(checked for 3 <= n <= 30) and usually well beyond, but the box
-relaxation can be inconclusive within a few percent of pbar on the high
-branch with k = n - 1.  Along every branch pbar < 1: the low branch
-decreases to 1/2 as k grows, the middle branch is below 1/log2(2n/3),
-and the high branch is at most 1/log2(3).
+at t = 1/2.  Since V_k(K_p) = V_k(box), comparing V_k(box) with 2^k
+decides the cube pair exactly, up to rounding; what is certified is
+failure wherever V_k(box) < 2^k.  On the low and middle branches the
+closed form bounds V_k(box) from above, so the pair fails for every
+p < pbar.  On the high branch it does not.  For k = n - 1 the box gives
+V_{n-1} = 2^{n-1} (2h + (n-2) h^2) with h = 2^{-1/p}, so the pair fails
+exactly for h < 1/(sqrt(n-1) + 1), i.e. below p* = 1/log2(sqrt(n-1) + 1),
+while pbar = 1/log2(3).  For n >= 6, p* < pbar: just below pbar the
+inequality holds for this pair at t = 1/2, and ``verify_counterexample``
+is inconclusive at 0.99 pbar for exactly the 25 pairs k = n - 1,
+6 <= n <= 30, among all pairs with n <= 30 (p*/pbar = 0.59 at n = 30).
+At pbar/2 (h = 1/9) the pair fails up to n = 64, meets 2^k with equality
+at n = 65 and satisfies the inequality from n = 66 on.  Along every
+branch pbar < 1: the low branch decreases to 1/2 as k grows, the middle
+branch is below 1/log2(2n/3), and the high branch is at most 1/log2(3).
 
 In contrast, for k = 1 the reverse inequality always holds:
 
@@ -53,7 +61,7 @@ from .errors import DomainError
 from .intrinsic import unit_ball_volume, vk_box, vk_closed_form
 from .sphere import REFERENCE_RESOLUTION, SphericalGrid, build_grid
 
-#: Guard band for strict comparisons of rigorously bounded quantities.
+#: Relative guard band for strict comparisons of rigorously bounded quantities.
 COMPARISON_GUARD = 1e-12
 #: Slack allowed when the V_1 bound is compared with the reverse inequality.
 REVERSE_TOLERANCE = 1e-9
@@ -95,17 +103,26 @@ def _branch_constants(n: int, k: int) -> tuple[float, int]:
 
 
 def threshold_pbar(n: int, k: int) -> float:
-    """Failure threshold pbar_{n,k}; the inequality fails for all p < pbar."""
+    """Threshold pbar_{n,k}: the per-branch closed form for V_k(K_p) equals 2^k.
+
+    On the low and middle branches the cube pair fails the inequality for
+    every p < pbar.  On the high branch with k = n - 1 and n >= 6 it fails
+    only below p* = 1 / log2(sqrt(n-1) + 1) < pbar (module docstring).
+    """
     count, exponent = _branch_constants(n, k)
     return exponent / math.log2(count)
 
 
 def enclosing_box(n: int, k: int, p: float) -> Box:
-    """Axis-aligned box containing K_p = (1/2).K_0 +_p (1/2).K_1.
+    """The axis-aligned box B_p, which equals K_p = (1/2).K_0 +_p (1/2).K_1.
 
-    Containment: the gauge of K_p is even and non-decreasing in |u_i|
-    coordinate-wise, so K_p lies in the box whose half-lengths are the
-    gauge values at the coordinate directions.
+    The half-lengths a_i are the gauge g of K_p at +-e_i.  K_p lies in B_p
+    because a Wulff shape lies in every half-space {x.v <= g(v)}.  B_p lies
+    in K_p because g >= h_{B_p} everywhere: for 0 < p <= 1 the p-mean M_p
+    is concave and 1-homogeneous, hence superadditive, so splitting
+    h_0(u) and h_1(u) over the overlap, single and gap blocks gives
+    g(u) >= sum_overlap |u_i| + 2^{-1/p} sum_single |u_i| = h_{B_p}(u).
+    So g = h_{B_p}, and K_p = B_p exactly.
     """
     _check_nk(n, k)
     if not 0.0 < p <= 1.0:
@@ -186,8 +203,8 @@ def verify_counterexample(n: int, k: int, p: float) -> Verdict:
     (1/2) V_k(K_1)^{p/k}, i.e. V_k(K_p) >= 2^k.  The verdict compares the
     rigorous upper bound V_k(enclosing box) with 2^k:
 
-    - bound < 2^k - COMPARISON_GUARD -> ``inequality-fails`` with positive
-      margin;
+    - bound < 2^k (1 - COMPARISON_GUARD) -> ``inequality-fails`` with
+      positive margin;
     - otherwise -> ``inconclusive`` (an upper bound above the target proves
       nothing either way).
     """
@@ -199,7 +216,7 @@ def verify_counterexample(n: int, k: int, p: float) -> Verdict:
     # Comparison scale of the stated inequality: V_k^{p/k}.
     lhs_scaled = ub.box_value ** (p / k)
     rhs_scaled = target ** (p / k)
-    fails = ub.box_value < target - COMPARISON_GUARD
+    fails = ub.box_value < target * (1.0 - COMPARISON_GUARD)
     verdict = "inequality-fails" if fails else "inconclusive"
     return Verdict(
         lhs=lhs_scaled,
@@ -237,22 +254,27 @@ def threshold_table(n_min: int = 3, n_max: int = 10) -> list[dict]:
 
 
 def containment_check(n: int, k: int, p: float, grid: SphericalGrid) -> float:
-    """Max violation of h_box >= (LP support bound of K_p) over grid nodes.
+    """Max over grid nodes u of (a bound on h_P(u)) - h_box(u).
 
-    A non-positive return certifies, on the sampled directions, that the
-    outer approximation of K_p sits inside the enclosing box.  Constraint
-    directions are the grid nodes plus all +-e_i (the box's contact
-    directions, which product grids avoid).
+    P = {x : x.v <= g(v)} is the outer polytope of K_p: its directions v
+    are the grid nodes plus all +-e_i, and g is the p-mean gauge.  Weak
+    duality bounds its support without solving an LP: the multipliers
+    (u_i)_+ on the +e_i rows and (-u_i)_+ on the -e_i rows are nonnegative
+    and combine the rows to u exactly, so for every x in P
+
+        u.x <= sum_i (u_i)_+ g(e_i) + (-u_i)_+ g(-e_i).
+
+    A return <= 1e-9 therefore certifies P inside the enclosing box, and
+    the bound holds at every unit u, not only at the nodes.  It costs
+    O(mn) for m nodes; only the 2n gauge values at +-e_i are evaluated.
     """
     _check_nk(n, k)
     K0, K1 = cube_pair(n, k)
-    spec = PMeanSpec(p, 0.5, K0, K1)
-    dirs = np.vstack([grid.nodes, np.eye(n), -np.eye(n)])
-    gauge = pmean_values(spec, dirs)
-    lp = WulffSampled(dirs, gauge).support_values(grid.nodes)
-    # one (1, n) row per node, so each h_box rounds as a single-direction call
-    h_box = enclosing_box(n, k, p).support_values(grid.nodes[:, None, :])[:, 0]
-    return float(np.max(lp - h_box))
+    g = pmean_values(PMeanSpec(p, 0.5, K0, K1), np.vstack([np.eye(n), -np.eye(n)]))
+    U = grid.nodes
+    bound = np.clip(U, 0.0, None) @ g[:n] + np.clip(-U, 0.0, None) @ g[n:]
+    h_box = enclosing_box(n, k, p).support_values(U)
+    return float(np.max(bound - h_box))
 
 
 def v1_reverse_check(body0: Body, body1: Body, p: float, t: float, n: int,

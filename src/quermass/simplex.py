@@ -105,19 +105,27 @@ def support_lp(directions: np.ndarray, values: np.ndarray, u: np.ndarray):
             "support LP unbounded: sampled directions do not positively span "
             "the objective direction; refine the grid"
         )
-    # Pivot any residual artificial (at zero level) out of the basis.
-    for pos in range(n):
-        if basis[pos] >= m:
-            B = A[:, basis]
-            for j in range(m):
-                if j in basis:
-                    continue
-                w = np.linalg.solve(B, A[:, j])
-                if abs(w[pos]) > 1e3 * TOL:
-                    basis[pos] = j
-                    break
-            else:
-                raise NumericalError("could not remove artificial variable from basis")
+    # Pivot each residual artificial (at zero level) out of the basis.  If no
+    # real column can replace the artificial of row q, row q of the real
+    # columns is a combination of the other rows: drop it and its basis slot.
+    rows = list(range(n))
+    pos = 0
+    while pos < len(basis):
+        if basis[pos] < m:
+            pos += 1
+            continue
+        B = A[np.ix_(rows, basis)]
+        for j in range(m):
+            if j in basis:
+                continue
+            w = np.linalg.solve(B, A[rows, j])
+            if abs(w[pos]) > 1e3 * TOL:
+                basis[pos] = j
+                pos += 1
+                break
+        else:
+            rows.remove(basis.pop(pos) - m)
+    A, b = A[rows], b[rows]
 
     # Phase 2: minimize the true cost over real columns only.
     c2 = np.concatenate([f, np.zeros(n)])
@@ -129,8 +137,9 @@ def support_lp(directions: np.ndarray, values: np.ndarray, u: np.ndarray):
         # for values >= 0 (x = 0 feasible), so treat as numerical failure.
         raise NumericalError("dual simplex became unbounded") from exc
 
-    B = A[:, basis]
-    x = np.linalg.solve(B.T, c2[basis])
+    # the primal point; a dropped (redundant) row leaves its coordinate at 0
+    x = np.zeros(n)
+    x[rows] = np.linalg.solve(A[:, basis].T, c2[basis])
     value = float(c2[basis] @ lam_B)
     direct = float(u @ x)
     if abs(direct - value) > 1e-6 * (1.0 + abs(value)):

@@ -1,5 +1,8 @@
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
 from quermass import (
@@ -143,6 +146,30 @@ def test_pmean_monotone_in_p(rng):
         ps = np.sort(rng.uniform(0.05, 1.0, size=4))
         vals = [pmean(PMeanSpec(p, t, b0, b1), u) for p in ps]
         assert np.all(np.diff(vals) >= -1e-12)
+
+
+@st.composite
+def _pmean_cases(draw):
+    n = draw(st.integers(2, 5))
+    sizes = st.floats(0.0, 3.0, allow_subnormal=False)
+    balls = st.floats(0.1, 3.0).map(Ball)
+    boxes = st.lists(sizes, min_size=n, max_size=n).map(lambda a: Box(tuple(a)))
+    body0, body1 = draw(balls | boxes), draw(balls | boxes)
+    U = draw(hnp.arrays(np.float64, (4, n), elements=st.floats(-1.0, 1.0)))
+    U = U[np.linalg.norm(U, axis=1) > 1e-3]
+    t = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    p_lo, p_hi = sorted(draw(st.floats(0.0, 1.0)) for _ in range(2))
+    return PMeanSpec(p_lo, t, body0, body1), PMeanSpec(p_hi, t, body0, body1), U
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_pmean_cases())
+def test_pmean_values_non_decreasing_in_p(case):
+    # power-mean inequality: M_p <= M_q for p <= q, with p = 0 the geometric mean
+    lo, hi, U = case
+    U = U / np.linalg.norm(U, axis=1, keepdims=True)
+    g_lo, g_hi = pmean_values(lo, U), pmean_values(hi, U)
+    assert np.all(g_lo <= g_hi * (1.0 + 1e-12))
 
 
 def test_zero_sum_scaling_identity(grid3, rng):

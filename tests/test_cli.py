@@ -332,6 +332,29 @@ def test_bad_spec_exits_1(argv, message, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["vk", "concavity", "christoffel", "poincare"])
+@pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+def test_seed_on_grid_without_seed_exits_2(command, by_config, tmp_path, capsys):
+    # the default grid at n = 3 is product-angular, which takes no seed
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -2}))
+    argv = [command, "--config", str(cfg)] if by_config else [command, "--seed", "-2"]
+    report = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--json", str(report)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "seed -2" in err and "Traceback" not in err
+    assert not report.exists()
+
+
+def test_seed_of_monte_carlo_grid_is_used(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    argv = ["vk", "--grid-method", "monte-carlo", "--grid-res", "100", "--json", str(report)]
+    assert main(argv + ["--seed", "7"]) == 0
+    assert json.loads(report.read_text())["grid"]["seed"] == 7
+
+
 def test_concavity_zero_steps_exits_1(capsys):
     assert main(["concavity", "--s-steps", "0"]) == 1
     assert "at least one s value" in capsys.readouterr().err

@@ -1,18 +1,25 @@
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
+import quermass.counterexamples as cx
 from quermass import (
     Ball,
     Box,
     DomainError,
     EmbeddedCube,
+    PMeanSpec,
+    WulffSampled,
+    build_grid,
     branch,
     containment_check,
     cube_pair,
     enclosing_box,
+    pmean_values,
     threshold_pbar,
     threshold_table,
     upper_bound_vk_kp,
@@ -163,6 +170,37 @@ def test_verify_counterexample_below_threshold():
             assert v.lhs < v.rhs
 
 
+def test_k_n_minus_1_not_decided_just_below_pbar():
+    # V_{n-1}(K_p) = 2^{n-1} (2h + (n-2) h^2), h = 2^{-1/p}, meets 2^{n-1} at
+    # p* = 1/log2(sqrt(n-1) + 1), which is below pbar = 1/log2(3) for n >= 6
+    undecided = {(n, k) for n in range(3, 31) for k in range(2, n)
+                 if verify_counterexample(n, k, 0.99 * threshold_pbar(n, k)).conclusion
+                 != "inequality-fails"}
+    assert undecided == {(n, n - 1) for n in range(6, 31)}
+    for n in range(6, 31):
+        p_star = 1.0 / math.log2(math.sqrt(n - 1) + 1.0)
+        assert p_star < 0.99 * threshold_pbar(n, n - 1)
+        assert verify_counterexample(n, n - 1, 0.99 * p_star).conclusion == "inequality-fails"
+        assert verify_counterexample(n, n - 1, 1.01 * p_star).margin < 0.0
+
+
+def test_k_n_minus_1_at_half_pbar_onset():
+    # at pbar/2, h = 1/9: the pair fails for n <= 64, meets 2^{n-1} exactly at
+    # n = 65 (h* = 1/(sqrt(64) + 1)) and holds from n = 66 on
+    def undecided(n, k):
+        return verify_counterexample(n, k, threshold_pbar(n, k) / 2.0).conclusion != \
+            "inequality-fails"
+
+    assert not any(undecided(n, k) for n in range(3, 65) for k in range(2, n))
+    at_onset = verify_counterexample(65, 64, threshold_pbar(65, 64) / 2.0)
+    assert at_onset.conclusion == "inconclusive"
+    assert_allclose(at_onset.extras["vk_upper_bound"], 2.0 ** 64, rtol=1e-14)
+    later = {(n, k) for n in range(66, 121) for k in range(2, n) if undecided(n, k)}
+    assert later == {(n, n - 1) for n in range(66, 121)}
+    assert all(verify_counterexample(n, n - 1, threshold_pbar(n, n - 1) / 2.0).margin < 0.0
+               for n in range(66, 121))
+
+
 def test_verify_counterexample_low_branch_at_pbar_inconclusive():
     # on the low branch box and displayed bounds coincide, so at p = pbar
     # the bound equals the target exactly and proves nothing
@@ -201,6 +239,49 @@ def test_containment_certificate(grid4):
 def test_containment_certificate_overlap_case(grid3):
     worst = containment_check(3, 2, 0.4, grid3)
     assert worst <= 1e-9
+
+
+def _lp_containment(n, k, p, grid):
+    # the LP route: support of the outer polytope by simplex at every node
+    K0, K1 = cube_pair(n, k)
+    dirs = np.vstack([grid.nodes, np.eye(n), -np.eye(n)])
+    gauge = pmean_values(PMeanSpec(p, 0.5, K0, K1), dirs)
+    lp = WulffSampled(dirs, gauge).support_values(grid.nodes)
+    return float(np.max(lp - enclosing_box(n, k, p).support_values(grid.nodes)))
+
+
+def test_containment_matches_lp_oracle():
+    grid = build_grid(3, 5, "product-angular")
+    assert abs(containment_check(3, 2, 0.4, grid) - _lp_containment(3, 2, 0.4, grid)) <= 1e-12
+
+
+def test_containment_detects_a_too_small_box(grid3, monkeypatch):
+    # shrinking one nonzero half-length by 1% must make the certificate fail
+    def shrunk(n, k, p):
+        a = list(enclosing_box(n, k, p).half_lengths)
+        a[0] *= 0.99
+        return Box(tuple(a))
+
+    monkeypatch.setattr(cx, "enclosing_box", shrunk)
+    assert containment_check(3, 2, 0.4, grid3) > 1e-9
+    assert containment_check(4, 2, 0.5, build_grid(4, 4, "product-angular")) > 1e-9
+
+
+_CONTAINMENT_GRIDS = {n: build_grid(n, 3, "product-angular") for n in range(3, 7)}
+
+
+@st.composite
+def _containment_cases(draw):
+    n = draw(st.integers(3, 6))
+    k = draw(st.integers(2, n - 1))
+    return n, k, draw(st.floats(0.0, threshold_pbar(n, k), exclude_min=True))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_containment_cases())
+def test_containment_certified_below_pbar(case):
+    n, k, p = case
+    assert containment_check(n, k, p, _CONTAINMENT_GRIDS[n]) <= 1e-12
 
 
 def test_exact_v1_values():

@@ -75,3 +75,14 @@ def test_random_polytope_consistency(rng):
     s2u, _ = support_lp(dirs, vals, 2.0 * u)
     assert suv <= su + sv + 1e-9
     assert_allclose(s2u, 2.0 * su, rtol=1e-10)
+
+
+def test_redundant_equality_row_is_dropped():
+    # no direction has an e_3 component and u_3 = 0, so the third dual row
+    # is 0 = 0: its artificial variable stays basic at zero level
+    dirs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+    value, x = support_lp(dirs, np.ones(4), np.array([0.6, 0.8, 0.0]))
+    assert_allclose(value, 1.4, rtol=1e-15)
+    assert_allclose(x, [1.0, 1.0, 0.0], atol=1e-15)
+    with pytest.raises(WulffUnboundedError):
+        support_lp(dirs, np.ones(4), np.array([0.6, 0.0, 0.8]))
