@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calculus import Jet
 from .errors import DomainError, UnsupportedBodyError
 from .simplex import support_lp
 from .sphere import SphericalGrid, TestFunction
@@ -35,6 +36,15 @@ class Body:
 
     def support_values(self, U: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def support_jet(self, U: np.ndarray) -> Jet:
+        """Exact jet of a smooth extension of the support function to R^n.
+
+        Q[h] and its derivatives are computed only from this jet, so a body
+        without one has no curvature data.
+        """
+        raise DomainError(f"{type(self).__name__} has no exact support jet, so Q[h] "
+                          "is not available for it")
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -54,6 +64,11 @@ class Ball(Body):
 
     def support_values(self, U: np.ndarray) -> np.ndarray:
         return np.full(U.shape[0], float(self.radius))
+
+    def support_jet(self, U: np.ndarray) -> Jet:
+        """The constant extension R, so Q[h] = R I."""
+        m, n = U.shape
+        return Jet(self.support_values(U), np.zeros((m, n)), np.zeros((m, n, n)))
 
     def to_json(self) -> dict:
         return {"type": "ball", "radius": self.radius}
@@ -122,6 +137,10 @@ class LogPerturbedBall(Body):
 
     def support_values(self, U: np.ndarray) -> np.ndarray:
         return np.exp(self.s * self.psi(U))
+
+    def support_jet(self, U: np.ndarray) -> Jet:
+        """The extension e^{s psi(y)} with psi's polynomial continued to R^n."""
+        return self.psi.jet(U).scaled(self.s).exp()
 
     def to_json(self) -> dict:
         return {"type": "log_perturbed_ball", "s": self.s, "psi": self.psi.to_json()}

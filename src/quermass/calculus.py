@@ -1,4 +1,4 @@
-"""Finite-difference calculus for scalar fields on the sphere.
+"""Calculus for scalar fields on the sphere: exact jets and the finite-difference oracle.
 
 A field f defined on S^{n-1} extends to R^n minus the origin either
 1-homogeneously, F(y) = |y| f(y/|y|), or 0-homogeneously, f(y/|y|).  For a
@@ -12,14 +12,28 @@ the area-measure densities.  The spherical gradient of f is the tangential
 projection of the gradient of the 0-homogeneous extension, and the
 spherical Laplacian satisfies  Delta f = tr Q[f] - (n-1) f.
 
-Second derivatives are formed from central differences at steps (d, 2d)
-combined by Richardson extrapolation, which cancels the O(d^2) truncation
-term.  With the default step the per-entry error is ~1e-9 for O(1)-smooth
-fields: truncation after extrapolation is ~4 d^4 |f^(6)|/360 and rounding
-is ~4 eps/d^2.
+Every field the package evaluates is P exp(R) for polynomials P and R, so
+its value, gradient and Hessian on R^n (its ``Jet``) are exact.  For any
+smooth extension g of f to R^n, with E the (n-1) x n frame at x,
+
+    Q[f] = E (Hess g) E^T + (g - x . grad g) I,
+
+which ``q_from_jet`` evaluates; the program computes every Q, spherical
+gradient and Laplacian this way.
+
+``tangent_hessian``, ``spherical_gradient`` and ``spherical_laplacian``
+are the generic tool for an arbitrary callable and the test oracle for
+the exact route.  They difference the field: second derivatives are
+central differences at steps (d, 2d) combined by Richardson
+extrapolation, which cancels the O(d^2) truncation term.  With the
+default step the per-entry error is ~1e-9 for O(1)-smooth fields:
+truncation after extrapolation is ~4 d^4 |f^(6)|/360 and rounding is
+~4 eps/d^2.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +44,50 @@ HESSIAN_STEP = 2e-3
 
 #: Default step for first differences (gradient); error ~ eps/d + d^2/6.
 GRADIENT_STEP = 1e-5
+
+
+@dataclass(frozen=True)
+class Jet:
+    """Value, gradient and Hessian of a field on R^n at m points.
+
+    Shapes (m,), (m, n) and (m, n, n).  Products and ``exp`` follow the
+    product and chain rules, so a jet of P exp(R) is exact to rounding.
+    """
+
+    value: np.ndarray
+    grad: np.ndarray
+    hess: np.ndarray
+
+    def __mul__(self, other: "Jet") -> "Jet":
+        u, w = self.value[:, None], other.value[:, None]
+        cross = self.grad[:, :, None] * other.grad[:, None, :]
+        return Jet(
+            self.value * other.value,
+            u * other.grad + w * self.grad,
+            u[:, :, None] * other.hess + w[:, :, None] * self.hess
+            + cross + np.swapaxes(cross, 1, 2),
+        )
+
+    def scaled(self, c: float) -> "Jet":
+        return Jet(c * self.value, c * self.grad, c * self.hess)
+
+    def exp(self) -> "Jet":
+        e = np.exp(self.value)
+        outer = self.grad[:, :, None] * self.grad[:, None, :]
+        return Jet(e, e[:, None] * self.grad, e[:, None, None] * (self.hess + outer))
+
+
+def q_from_jet(jet: Jet, nodes: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """Q at unit nodes from a jet of any smooth extension, shape (m, n-1, n-1).
+
+    Q = E (Hess g) E^T + (g - x . grad g) I with E the (n-1, n) frame of
+    each node; exact, frame-covariant and symmetric to rounding.
+    """
+    Q = frames @ jet.hess @ np.swapaxes(frames, 1, 2)
+    radial = jet.value - np.einsum("mi,mi->m", jet.grad, nodes)
+    N = Q.shape[-1]
+    Q[:, np.arange(N), np.arange(N)] += radial[:, None]
+    return Q
 
 
 def extension_deg1(f):

@@ -24,7 +24,9 @@ outputs.
 Exit codes: 0 success (and affirmative outcome for check-style commands);
 1 runtime error (a bad or unreadable body or psi spec, an unsupported
 operation, any other package error); 2 usage error, including an
-unreadable --config file and an unknown key or bad value in it; 3 check
+unreadable --config file, an unknown key or bad value in it, and a grid
+option the run would ignore (a seed on a grid that takes none, any grid
+option on closed-form vk); 3 check
 completed with a negative outcome (violated concavity, unsatisfied
 inequality, residual above tolerance, or a counterexample verdict
 inconsistent with its threshold).
@@ -222,6 +224,9 @@ def cmd_vk(cfg: dict) -> _Outcome:
     if method == "auto":
         method = "quadrature" if body.is_smooth else "closed-form"
     if method == "closed-form":
+        unused = [f"--{key.replace('_', '-')} {cfg[key]}" for key in _GRID if cfg[key] is not None]
+        if unused:
+            raise _UsageError(f"{', '.join(unused)} set, but closed-form V_k builds no grid")
         result = intrinsic.vk_closed_form(body, k, n)
     else:
         grid = _make_grid(cfg)

@@ -22,8 +22,9 @@ and that contraction is exact by forward-mode differentiation of the
 same recursion.
 
 For a convex body with smooth support function h, the matrix
-Q[h] = (h_ij + h delta_ij) in an orthonormal tangent frame gives the
-area-measure densities S_{k-1}(Q[h]) and the intrinsic volumes
+Q[h] = (h_ij + h delta_ij) in an orthonormal tangent frame, exact from the
+body's support jet (``calculus.q_from_jet``), gives the area-measure
+densities S_{k-1}(Q[h]) and the intrinsic volumes
 
     V_k(K) = (1 / (k kappa_{n-k})) int_{S^{n-1}} h S_{k-1}(Q[h]) dx,
 
@@ -158,32 +159,30 @@ def second_cofactor(r: int, A: np.ndarray) -> np.ndarray:
     return out
 
 
-def q_matrix(body: Body, x: np.ndarray, frame: TangentFrame | None = None,
-             step: float = calculus.HESSIAN_STEP) -> np.ndarray:
+def q_matrix(body: Body, x: np.ndarray, frame: TangentFrame | None = None) -> np.ndarray:
     """Q[h] = (h_ij + h delta_ij) at a unit direction, in the given frame.
 
-    Requires a smooth body.  The result is frame-covariant: its elementary
-    symmetric functions do not depend on the frame choice.
+    Requires a smooth body with an exact support jet; Q is exact.  The
+    result is frame-covariant: its elementary symmetric functions do not
+    depend on the frame choice.
     """
     require_smooth(body, "q_matrix")
     if frame is None:
         frame = tangent_frame(x)
-    x = np.asarray(x, dtype=float)
-    Q, _ = calculus.tangent_hessian(
-        body.support_values, x[None, :], frame.vectors[None, :, :], step=step
-    )
-    return Q[0]
+    X = np.asarray(x, dtype=float)[None, :]
+    return calculus.q_from_jet(body.support_jet(X), X, frame.vectors[None, :, :])[0]
 
 
-def q_matrix_nodes(body: Body, grid: SphericalGrid,
-                   step: float = calculus.HESSIAN_STEP):
+def q_matrix_nodes(body: Body, grid: SphericalGrid):
     """Q[h] at every grid node using the grid's cached frames.
 
-    Returns (Q, err) with Q of shape (m, n-1, n-1) and err the per-node
-    finite-difference error estimate.
+    Returns (Q, err) with Q of shape (m, n-1, n-1), exact from the body's
+    support jet, and err the per-node derivative error, which is zero on
+    this exact route (shape (m,)).
     """
     require_smooth(body, "q_matrix_nodes")
-    return calculus.tangent_hessian(body.support_values, grid.nodes, grid.frames, step=step)
+    Q = calculus.q_from_jet(body.support_jet(grid.nodes), grid.nodes, grid.frames)
+    return Q, np.zeros(grid.node_count)
 
 
 def area_measure_density(body: Body, k: int, x: np.ndarray,

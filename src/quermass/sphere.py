@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import roots_jacobi
 
+from .calculus import Jet
 from .errors import ConfigurationError, DomainError, EvaluationError, NumericalError
 
 GRID_METHODS = ("product-angular", "icosphere-n3", "monte-carlo")
@@ -469,6 +470,37 @@ class TestFunction:
             out += term
         out *= self.amplitude
         return out[0] if single else out
+
+    def jet(self, X: np.ndarray) -> Jet:
+        """Exact value, gradient and Hessian on R^n at the rows of X.
+
+        Each term c x^e contributes the monomials of its first and second
+        partial derivatives; every distinct monomial is evaluated once and
+        the derivative rows are one coefficient matrix product.
+        """
+        X = np.asarray(X, dtype=float)
+        m, n = X.shape
+        rows: list[tuple[int, float, tuple[int, ...]]] = []  # (row, coefficient, exponents)
+        for coeff, exps in self.terms:
+            for a in range(n):
+                if exps[a]:
+                    da = exps[:a] + (exps[a] - 1,) + exps[a + 1:]
+                    rows.append((a, coeff * exps[a], da))
+                    for b in range(n):
+                        if da[b]:
+                            dab = da[:b] + (da[b] - 1,) + da[b + 1:]
+                            rows.append((n + a * n + b, coeff * exps[a] * da[b], dab))
+        monomials = {e: i for i, e in enumerate(dict.fromkeys(e for _, _, e in rows))}
+        C = np.zeros((n + n * n, len(monomials)))
+        for row, c, e in rows:
+            C[row, monomials[e]] += c
+        M = np.ones((len(monomials), m))
+        for e, i in monomials.items():
+            for a, p in enumerate(e):
+                if p:
+                    M[i] *= X[:, a] ** p
+        D = self.amplitude * (C @ M)
+        return Jet(self(X), D[:n].T, D[n:].T.reshape(m, n, n))
 
     def scaled(self, factor: float) -> "TestFunction":
         return TestFunction(self.dimension, self.terms, self.amplitude * factor)

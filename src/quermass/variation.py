@@ -46,6 +46,8 @@ from .intrinsic import (
     _cofactor_batch,
     _elem_sym_all_batch,
     _second_cofactor_batch,
+    q_matrix,
+    q_matrix_nodes,
 )
 from .sphere import SphericalGrid, TestFunction, integrate
 
@@ -57,13 +59,23 @@ def _min_eig(Q: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(Q)[:, 0]
 
 
+def _jet(f, X: np.ndarray, what: str) -> calculus.Jet:
+    """The exact jet of a field such as a TestFunction; other callables have none."""
+    if not callable(getattr(f, "jet", None)):
+        raise DomainError(f"{what} needs a field with an exact jet, such as a "
+                          f"TestFunction; got {type(f).__name__}")
+    return f.jet(X)
+
+
 @dataclass
 class VariationPath:
     """The family h_s = h e^{s psi} for a smooth base body.
 
-    Construction verifies that Q[h_s] is positive definite at every grid
-    node for s in {-2, -1, 0, 1, 2}.  Node data is cached for s = 0, which
-    fixes the tolerance of a scan, and for the most recent s only.
+    The jets of psi and of h at the grid nodes are computed once, so each
+    new s costs one exp plus product-rule arithmetic, and every Q is
+    exact.  Construction verifies that Q[h_s] is positive definite at every
+    grid node for s in {-2, -1, 0, 1, 2}.  Node data is cached for s = 0,
+    which fixes the tolerance of a scan, and for the most recent s only.
     """
 
     body: Body
@@ -71,44 +83,29 @@ class VariationPath:
     k: int
     grid: SphericalGrid
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _psi_vals: np.ndarray = field(default=None, repr=False, compare=False)
+    _psi_jet: calculus.Jet = field(default=None, repr=False, compare=False)
+    _body_jet: calculus.Jet = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         require_smooth(self.body, "VariationPath")
         n = self.grid.dimension
         if not 1 <= self.k <= n:
             raise DomainError(f"order k must satisfy 1 <= k <= {n}, got {self.k}")
-        self._psi_vals = np.asarray(self.psi(self.grid.nodes), dtype=float)
+        self._psi_jet = _jet(self.psi, self.grid.nodes, "VariationPath")
+        self._body_jet = self.body.support_jet(self.grid.nodes)
         for s in _VALIDITY_SAMPLES:
             self._node_data(s)
 
-    # -- field constructors ------------------------------------------------
-    def _field_h(self, s: float):
-        body, psi = self.body, self.psi
-
-        def h_s(X):
-            return np.asarray(body.support_values(X), dtype=float) * np.exp(
-                s * np.asarray(psi(X), dtype=float)
-            )
-
-        return h_s
-
-    def _field_psih(self, s: float, power: int = 1):
-        h_s, psi = self._field_h(s), self.psi
-
-        def g(X):
-            return np.asarray(psi(X), dtype=float) ** power * h_s(X)
-
-        return g
+    def _q(self, jet: calculus.Jet) -> np.ndarray:
+        return calculus.q_from_jet(jet, self.grid.nodes, self.grid.frames)
 
     # -- node data of s = 0 and of the latest s ----------------------------
     def _node_data(self, s: float) -> dict:
         key = float(s)
         data = self._cache.get(key)
         if data is None:
-            Q, _ = calculus.tangent_hessian(
-                self._field_h(key), self.grid.nodes, self.grid.frames
-            )
+            jet = self._body_jet * self._psi_jet.scaled(key).exp()
+            Q = self._q(jet)
             lo = _min_eig(Q)
             if not np.all(lo > 0.0):
                 bad = int(np.argmin(lo))
@@ -120,7 +117,8 @@ class VariationPath:
                     node_index=bad,
                 )
             data = {
-                "h": self._field_h(key)(self.grid.nodes),
+                "jet": jet,
+                "h": jet.value,
                 "Q": Q,
                 "dens": _elem_sym_all_batch(Q)[:, self.k - 1],
             }
@@ -141,19 +139,15 @@ class VariationPath:
     def _q_psih(self, s: float) -> np.ndarray:
         data = self._node_data(s)
         if "q_psih" not in data:
-            Q, _ = calculus.tangent_hessian(
-                self._field_psih(s), self.grid.nodes, self.grid.frames
-            )
-            data["q_psih"] = Q
+            data["psih"] = self._psi_jet * data["jet"]
+            data["q_psih"] = self._q(data["psih"])
         return data["q_psih"]
 
     def _q_psi2h(self, s: float) -> np.ndarray:
         data = self._node_data(s)
         if "q_psi2h" not in data:
-            Q, _ = calculus.tangent_hessian(
-                self._field_psih(s, power=2), self.grid.nodes, self.grid.frames
-            )
-            data["q_psi2h"] = Q
+            self._q_psih(s)
+            data["q_psi2h"] = self._q(self._psi_jet * data["psih"])
         return data["q_psi2h"]
 
 
@@ -175,7 +169,7 @@ def f_k_prime(path: VariationPath, s: float) -> float:
     """First s-derivative of f_k; uses d/ds h_s = psi h_s."""
     s = _check_s(s)
     data = path._node_data(s)
-    w, psi = path.grid.weights, path._psi_vals
+    w, psi = path.grid.weights, path._psi_jet.value
     return float(np.dot(w, psi * data["h"] * data["dens"]))
 
 
@@ -183,7 +177,7 @@ def f_k_second(path: VariationPath, s: float) -> float:
     """Second s-derivative of f_k via the first cofactor of S_{k-1}."""
     s = _check_s(s)
     data = path._node_data(s)
-    w, psi = path.grid.weights, path._psi_vals
+    w, psi = path.grid.weights, path._psi_jet.value
     hd = data["h"]
     term1 = float(np.dot(w, psi * psi * hd * data["dens"]))
     cof = path._cofactors(s)
@@ -202,7 +196,7 @@ def f_k_third(path: VariationPath, s: float) -> float:
     """
     s = _check_s(s)
     data = path._node_data(s)
-    w, psi = path.grid.weights, path._psi_vals
+    w, psi = path.grid.weights, path._psi_jet.value
     hd = data["h"]
     cof = path._cofactors(s)
     qdot = path._q_psih(s)
@@ -257,7 +251,7 @@ def concavity_scan(path: VariationPath, s_values=None,
 
     Verdict is ``strictly-concave`` if H < -tol everywhere, ``concave`` if
     H <= tol everywhere, else ``violated``; tol = tolerance_scale * f_k(0)^2
-    absorbs quadrature and differencing noise (relevant for constant psi,
+    absorbs quadrature and rounding noise (relevant for constant psi,
     where H vanishes identically).
     """
     if s_values is None:
@@ -321,11 +315,14 @@ def ball_fk_second(n: int, k: int, psi, grid: SphericalGrid) -> float:
 
     k = 1 is excluded: the mean-width functional is linear in h, so its
     second variation carries no cofactor term and needs no closed form.
+    Lap psi = tr Q[psi] - (n-1) psi, exact from psi's jet.
     """
     if not 2 <= k <= n:
         raise DomainError("closed-form f_k''(0) requires 2 <= k <= n")
-    psi_vals = np.asarray(psi(grid.nodes), dtype=float)
-    lap = calculus.spherical_laplacian(psi, grid.nodes, grid.frames)
+    jet = _jet(psi, grid.nodes, "ball_fk_second")
+    psi_vals = jet.value
+    Q = calculus.q_from_jet(jet, grid.nodes, grid.frames)
+    lap = np.einsum("mii->m", Q) - (n - 1) * psi_vals
     int_psi2 = float(np.dot(grid.weights, psi_vals * psi_vals))
     int_psilap = float(np.dot(grid.weights, psi_vals * lap))
     return math.comb(n - 2, n - k) * ((n - 1) * k / (k - 1) * int_psi2 + int_psilap)
@@ -346,13 +343,14 @@ def poincare_check(psi, grid: SphericalGrid, slack: float = 1e-9) -> PoincareRes
     """Check int psi^2 <= (1/2n) int |grad psi|^2 for even zero-mean psi.
 
     Equality holds exactly on degree-2 spherical harmonics (the first even
-    eigenvalue of -Lap is 2n); higher even harmonics give ratio < 1.
+    eigenvalue of -Lap is 2n); higher even harmonics give ratio < 1.  The
+    spherical gradient (I - x x^T) grad psi is exact from psi's jet.
 
     Raises
     ------
     DomainError
-        If psi is not even (checked by sampling antipodes) or not
-        zero-mean (|int psi| > 1e-8 * scale).
+        If psi is not even (checked by sampling antipodes), not
+        zero-mean (|int psi| > 1e-8 * scale) or has no exact jet.
     """
     vals = np.asarray(psi(grid.nodes), dtype=float)
     anti = np.asarray(psi(-grid.nodes), dtype=float)
@@ -364,7 +362,8 @@ def poincare_check(psi, grid: SphericalGrid, slack: float = 1e-9) -> PoincareRes
         raise DomainError("poincare_check requires a zero-mean test function")
     n = grid.dimension
     lhs = float(np.dot(grid.weights, vals * vals))
-    grad = calculus.spherical_gradient(psi, grid.nodes)
+    ambient = _jet(psi, grid.nodes, "poincare_check").grad
+    grad = ambient - np.einsum("mi,mi->m", ambient, grid.nodes)[:, None] * grid.nodes
     rhs = float(np.dot(grid.weights, (grad * grad).sum(axis=1))) / (2.0 * n)
     if lhs < 1e-14 * scale * scale and rhs < 1e-14 * scale * scale:
         return PoincareResult(lhs=lhs, rhs=rhs, ratio=0.0, satisfied=True,
@@ -396,26 +395,27 @@ def ibp_check(body: Body, phi, phibar, psi, k: int, grid: SphericalGrid) -> IbpR
 
     Both sides of the second share one exact contraction
     <S_k^{ij,rs}(Q[h]), Q[phi]_rs>.  Here k indexes S_k directly,
-    1 <= k <= n - 1.
+    1 <= k <= n - 1.  Every Q is exact from the jets of the body and of
+    phi, phibar and psi, which must have them.
     """
     require_smooth(body, "ibp_check")
     n = grid.dimension
     if not 1 <= k <= n - 1:
         raise DomainError(f"order k must satisfy 1 <= k <= {n - 1}, got {k}")
-    w = grid.weights
-    Qh, _ = calculus.tangent_hessian(body.support_values, grid.nodes, grid.frames)
+    w, nodes, frames = grid.weights, grid.nodes, grid.frames
+    Qh, _ = q_matrix_nodes(body, grid)
     cof = _cofactor_batch(Qh, k)
-    qphi, _ = calculus.tangent_hessian(phi, grid.nodes, grid.frames)
-    qphibar, _ = calculus.tangent_hessian(phibar, grid.nodes, grid.frames)
-    vphi = np.asarray(phi(grid.nodes), dtype=float)
-    vphibar = np.asarray(phibar(grid.nodes), dtype=float)
+    jphi, jphibar, jpsi = (_jet(f, nodes, "ibp_check") for f in (phi, phibar, psi))
+    qphi = calculus.q_from_jet(jphi, nodes, frames)
+    qphibar = calculus.q_from_jet(jphibar, nodes, frames)
+    vphi, vphibar = jphi.value, jphibar.value
 
     a1 = float(np.dot(w, vphibar * np.einsum("mij,mij->m", cof, qphi)))
     a2 = float(np.dot(w, vphi * np.einsum("mij,mij->m", cof, qphibar)))
 
     dcof = _second_cofactor_batch(Qh, k, qphi)
-    qpsi, _ = calculus.tangent_hessian(psi, grid.nodes, grid.frames)
-    vpsi = np.asarray(psi(grid.nodes), dtype=float)
+    qpsi = calculus.q_from_jet(jpsi, nodes, frames)
+    vpsi = jpsi.value
     b1 = float(np.dot(w, vpsi * np.einsum("mij,mij->m", dcof, qphibar)))
     b2 = float(np.dot(w, vphibar * np.einsum("mij,mij->m", dcof, qpsi)))
 
@@ -436,8 +436,6 @@ def christoffel_residual(body: Body, p: float, k: int, x: np.ndarray,
     Zero exactly at the unit ball; the scaled ball R B_n gives the constant
     (R^{k-p} - 1) binom(n-1, k-1).
     """
-    from .intrinsic import q_matrix
-
     if not 0.0 <= p < 1.0:
         raise DomainError(f"p must lie in [0, 1), got {p}")
     x = np.asarray(x, dtype=float)
@@ -454,8 +452,6 @@ def christoffel_residual(body: Body, p: float, k: int, x: np.ndarray,
 
 def christoffel_residual_grid(body: Body, p: float, k: int, grid: SphericalGrid):
     """Residual field on all grid nodes; returns (values, max_abs)."""
-    from .intrinsic import q_matrix_nodes
-
     if not 0.0 <= p < 1.0:
         raise DomainError(f"p must lie in [0, 1), got {p}")
     n = grid.dimension

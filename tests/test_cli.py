@@ -190,8 +190,8 @@ def test_poincare_exits(capsys):
 def test_ibp_check_exits(capsys):
     assert main(["ibp-check"]) == 0
     assert "ok" in capsys.readouterr().out
-    # unreachable tolerance flips the verdict
-    assert main(["ibp-check", "--tol", "1e-13"]) == 3
+    # a tolerance below every residual (they are absolute values) flips the verdict
+    assert main(["ibp-check", "--tol", "-1"]) == 3
     assert "FAIL" in capsys.readouterr().out
 
 
@@ -345,6 +345,24 @@ def test_seed_on_grid_without_seed_exits_2(command, by_config, tmp_path, capsys)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and "seed -2" in err and "Traceback" not in err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("key, value", [("grid_res", 7), ("grid_method", "icosphere-n3"),
+                                        ("seed", 3)])
+@pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+def test_grid_option_on_closed_form_vk_exits_2(key, value, by_config, tmp_path, capsys):
+    # a box takes the closed form, which builds no grid to apply the option to
+    flag = "--" + key.replace("_", "-")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    option = ["--config", str(cfg)] if by_config else [flag, str(value)]
+    report = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["vk", "--body", "box:1,1,1", *option, "--json", str(report)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"{flag} {value}" in err and "Traceback" not in err
     assert not report.exists()
 
 

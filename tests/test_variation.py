@@ -71,7 +71,7 @@ def test_ball_fk_values(grid3):
     psi = TestFunction.coordinate_harmonic(3).scaled(0.01)
     for k in (1, 2, 3):
         path = VariationPath(Ball(1.0), psi, k, grid3)
-        # limited by the finite-difference Hessian, not the quadrature
+        # Q is exact; the bound dates from the finite-difference Hessian
         assert_allclose(f_k(path, 0.0), ball_fk(3, k), rtol=1e-10)
 
 
@@ -103,7 +103,7 @@ def test_constant_psi_exponential(grid3):
         path = VariationPath(Ball(1.0), psi, k, grid3)
         f0 = f_k(path, 0.0)
         for s in (-1.5, 0.5, 2.0):
-            # both sides carry independent FD Hessian errors ~ 1e-11
+            # exact Q leaves only rounding and quadrature error on both sides
             assert_allclose(f_k(path, s), f0 * math.exp(k * c * s), rtol=1e-9)
 
 
