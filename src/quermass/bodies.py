@@ -24,7 +24,7 @@ import numpy as np
 
 from .calculus import Jet
 from .errors import DomainError, UnsupportedBodyError
-from .simplex import support_lp
+from .simplex import SLACK, support_lp
 from .sphere import SphericalGrid, TestFunction
 
 
@@ -150,21 +150,49 @@ class LogPerturbedBall(Body):
 class WulffSampled(Body):
     """Wulff shape of gauge values sampled on a fixed direction set.
 
-    Support values are computed by linear programming and are upper bounds
-    for the true Wulff shape's support function (outer approximation).
+    Support values are maxima of u.x over the outer polytope
+    {x : d_j.x <= f_j}, which contains the true Wulff shape, so they are
+    upper bounds for its support function.  Each is an LP solved by
+    constraint generation (``simplex.support_lp``), except at a U row that
+    is bitwise a direction d_j: there f_j itself bounds the support, and
+    once an earlier LP optimum x (a point of the polytope) has
+    d_j.x >= f_j - SLACK (1 + f_j), the row takes f_j without an LP.  The
+    value is then still an upper bound and within that slack of the LP's.
+    At such a row an LP value is capped at f_j too (the lesser of two upper
+    bounds), so the support never exceeds the gauge at its own directions.
     """
 
     directions: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        if np.any(np.asarray(self.values) < 0.0):
+        D = np.asarray(self.directions, dtype=float)
+        f = np.asarray(self.values, dtype=float)
+        if D.ndim != 2:
+            raise DomainError(f"directions must be an (m, n) array, got shape {D.shape}")
+        if f.shape != D.shape[:1]:
+            raise DomainError(f"values must have shape ({D.shape[0]},), got {f.shape}")
+        if not (np.all(np.isfinite(D)) and np.all(np.isfinite(f))):
+            raise DomainError("directions and gauge values must be finite")
+        if np.any(f < 0.0):
             raise DomainError("gauge values must be non-negative")
 
     def support_values(self, U: np.ndarray) -> np.ndarray:
+        D = np.asarray(self.directions, dtype=float)
+        f = np.asarray(self.values, dtype=float)
+        U = np.asarray(U, dtype=float)
+        # bitwise row -> index of the direction with the least gauge value
+        node = {D[j].tobytes(): j for j in np.argsort(f)[::-1]}
+        tight = np.zeros(D.shape[0], dtype=bool)
         out = np.empty(U.shape[0])
         for i, u in enumerate(U):
-            out[i], _ = support_lp(self.directions, self.values, u)
+            j = node.get(u.tobytes())
+            if j is not None and tight[j]:
+                out[i] = f[j]
+                continue
+            value, x = support_lp(D, f, u)
+            out[i] = value if j is None else min(value, f[j])
+            tight |= D @ x >= f - SLACK * (1.0 + f)
         return out
 
     def to_json(self) -> dict:

@@ -1,4 +1,4 @@
-"""Dense two-phase revised simplex for small support-function LPs.
+"""Dense two-phase revised simplex for support-function LPs, by constraint generation.
 
 Solves  max u.x  subject to  D x <= f  where the rows of D are sampled
 directions and f are gauge values.  The dual,  min f.lam  s.t.
@@ -6,6 +6,15 @@ D^T lam = u, lam >= 0,  has only n equality rows (n <= 8 in practice), so
 a dense revised simplex with Bland's anti-cycling rule is adequate and
 dependency-free.  Dual infeasibility certifies that u is not in the
 positive span of the directions, i.e. the primal is unbounded.
+
+``support_lp`` does not hand all m rows to the simplex.  It solves on the
+2n rows whose d.u is largest, checks the optimum x against every row in
+O(mn), adds the violated rows and solves again (cutting planes, as in
+Clarkson's constraint sampling); a subset that is unbounded is doubled.
+Each subset's dual optimum lam, padded with zeros, is dual-feasible for
+the full LP, so by weak duality every subset value f.lam is an upper
+bound for the full optimum.  The loop stops when x satisfies every row,
+which makes x feasible for the full LP and the value equal to its optimum.
 """
 
 from __future__ import annotations
@@ -16,6 +25,10 @@ from .errors import NumericalError, WulffUnboundedError
 
 #: Pivoting and feasibility tolerance of the simplex steps.
 TOL = 1e-9
+
+#: Relative slack within which a row counts as satisfied (or, with the sign
+#: turned, as tight) at an optimum x:  d.x <= f + SLACK (1 + |f|).
+SLACK = 1e-13
 
 
 class _DualUnbounded(Exception):
@@ -59,6 +72,10 @@ def _simplex_core(A, b, c, basis, allowed, max_iter):
 def support_lp(directions: np.ndarray, values: np.ndarray, u: np.ndarray):
     """Maximize u.x over {x : directions @ x <= values}.
 
+    The simplex runs on a subset of the rows that grows by constraint
+    generation (see the module docstring); the result is that of the full
+    row set.
+
     Parameters
     ----------
     directions : (m, n) array
@@ -74,7 +91,8 @@ def support_lp(directions: np.ndarray, values: np.ndarray, u: np.ndarray):
     value : float
         The optimal objective value.
     x : (n,) array
-        An optimal point; feasible within ``TOL``.
+        An optimal point; it satisfies the rows the simplex saw within
+        ``TOL`` and every other row within ``SLACK (1 + |f|)``.
 
     Raises
     ------
@@ -87,7 +105,28 @@ def support_lp(directions: np.ndarray, values: np.ndarray, u: np.ndarray):
     m, n = D.shape
     if f.shape != (m,):
         raise NumericalError("constraint value vector has wrong length")
+    order = np.argsort(-(D @ u), kind="stable")
+    active = np.zeros(m, dtype=bool)
+    active[order[:2 * n]] = True
+    while True:
+        rows = np.flatnonzero(active)
+        try:
+            value, x = _dense_lp(D[rows], f[rows], u)
+        except WulffUnboundedError:
+            more = order[~active[order]][:rows.size]
+            if more.size == 0:
+                raise
+            active[more] = True
+            continue
+        violated = ~active & (D @ x > f + SLACK * (1.0 + np.abs(f)))
+        if not violated.any():
+            return value, x
+        active |= violated
 
+
+def _dense_lp(D: np.ndarray, f: np.ndarray, u: np.ndarray):
+    """``support_lp`` on all rows of D at once: the two-phase simplex itself."""
+    m, n = D.shape
     A = np.hstack([D.T, np.diag(np.where(u >= 0.0, 1.0, -1.0))])  # (n, m+n)
     b = u
     max_iter = 50 * (m + n) + 200

@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .calculus import Jet
 from .errors import ConfigurationError, DomainError, EvaluationError, NumericalError
@@ -65,13 +64,24 @@ def _circle_half(half_count: int) -> tuple[np.ndarray, np.ndarray]:
 def _jacobi_rule(m: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Jacobi rule for weight (1-t^2)^alpha on [-1, 1], symmetrized.
 
+    Golub-Welsch (1969): the nodes are the eigenvalues of the symmetric
+    tridiagonal Jacobi matrix of the orthonormal polynomials, with zero
+    diagonal and squared off-diagonal b_k = k(k+2a)/((2k+2a)^2-1), and the
+    weights are mu_0 v_0^2 with v_0 the first eigenvector component and
+    mu_0 = 2^(2a+1) Gamma(a+1)^2/Gamma(2a+2) the weight's integral.  b_1
+    is taken as 1/(2a+3), the same term with the factor 1+2a cancelled,
+    because at a = -1/2 the uncancelled form is 0/0.
+
     Nodes are forced into exact +/- pairs (and an exact zero for odd m) so
     that grids built from them are closed under central symmetry.
     """
-    t, w = roots_jacobi(m, alpha, alpha)
-    order = np.argsort(t)
-    t = t[order].copy()
-    w = w[order].copy()
+    k = np.arange(2.0, m)
+    b = np.concatenate([[1.0 / (2.0 * alpha + 3.0)],
+                        k * (k + 2.0 * alpha) / ((2.0 * k + 2.0 * alpha) ** 2 - 1.0)])[:m - 1]
+    off = np.sqrt(b)
+    t, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    mu0 = 2.0 ** (2.0 * alpha + 1.0) * math.gamma(alpha + 1.0) ** 2 / math.gamma(2.0 * alpha + 2.0)
+    w = mu0 * v[0] ** 2
     half = m // 2
     for i in range(half):
         j = m - 1 - i

@@ -442,6 +442,7 @@ def christoffel_residual(body: Body, p: float, k: int, x: np.ndarray,
     n = x.shape[-1]
     if not 2 <= k <= n:
         raise DomainError(f"order k must satisfy 2 <= k <= {n}, got {k}")
+    require_smooth(body, "christoffel_residual")
     h = float(np.asarray(body.support_values(x[None, :]))[0])
     if h <= 0.0:
         raise DomainError("christoffel residual requires positive support at x")
@@ -457,6 +458,7 @@ def christoffel_residual_grid(body: Body, p: float, k: int, grid: SphericalGrid)
     n = grid.dimension
     if not 2 <= k <= n:
         raise DomainError(f"order k must satisfy 2 <= k <= {n}, got {k}")
+    require_smooth(body, "christoffel_residual")
     h = np.asarray(body.support_values(grid.nodes), dtype=float)
     if np.any(h <= 0.0):
         raise DomainError("christoffel residual requires positive support")

@@ -1,3 +1,5 @@
+import re
+
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
@@ -226,6 +228,18 @@ def test_wulff_sampled_body(grid3):
     assert_allclose(out, 2.0, atol=1e-12)
     with pytest.raises(DomainError):
         WulffSampled(grid3.nodes, -vals)
+
+
+@pytest.mark.parametrize("directions, values, message", [
+    ([1.0, 0.0, 0.0], [1.0], "(m, n) array"),
+    (np.eye(3), [1.0, 1.0], "shape (3,)"),
+    (np.eye(3), np.ones((3, 1)), "shape (3,)"),
+    (np.eye(3), [1.0, np.nan, 1.0], "finite"),
+    ([[1.0, 0.0, np.inf], [0.0, 1.0, 0.0]], [1.0, 1.0], "finite"),
+])
+def test_wulff_sampled_rejects_malformed_input(directions, values, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        WulffSampled(np.asarray(directions, dtype=float), np.asarray(values, dtype=float))
 
 
 def test_inclusion_chain_of_wulff_gauges(grid3, rng):

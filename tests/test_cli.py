@@ -321,6 +321,8 @@ def test_unreadable_config_exits_2(content, tmp_path, capsys):
     (["ibp-check", "--seed", "-1"], "--seed must be >= 0"),
     (["vk", "--grid-method", "monte-carlo", "--grid-res", "100", "--seed", "-2"],
      "monte-carlo seed must be >= 0"),
+    (["christoffel", "--n", "3", "--k", "2", "--p", "0.5", "--body",
+      '{"type": "wulff_sampled", "directions": [1, 0, 0], "values": [1]}'], "bad body spec"),
 ])
 def test_bad_spec_exits_1(argv, message, tmp_path, capsys):
     malformed = tmp_path / "malformed.json"

@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import roots_jacobi
+
+import quermass
 
 from quermass import (
     ConfigurationError,
@@ -16,7 +22,7 @@ from quermass import (
     surface_area,
     tangent_frame,
 )
-from quermass.sphere import GRID_METHODS, REFERENCE_RESOLUTION
+from quermass.sphere import GRID_METHODS, REFERENCE_RESOLUTION, _jacobi_rule
 
 
 def test_surface_area_values():
@@ -149,6 +155,30 @@ def test_tangent_frame_single():
     assert_allclose(fr.vectors @ fr.vectors.T, np.eye(2), atol=1e-15)
     with pytest.raises(DomainError):
         tangent_frame(np.array([0.0, 0.0, 2.0]))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_jacobi_rule_matches_scipy(n):
+    # Golub-Welsch against scipy's rule for the polar weight (1-t^2)^((n-3)/2);
+    # n = 2 is the a = -1/2 (Chebyshev) case with its 0/0 first coefficient
+    alpha = (n - 3) / 2.0
+    for m in range(1, 65):
+        t, w = _jacobi_rule(m, alpha)
+        t_ref, w_ref = roots_jacobi(m, alpha, alpha)
+        order = np.argsort(t_ref)
+        assert np.max(np.abs(t - t_ref[order])) <= 1e-13
+        assert np.max(np.abs(w - w_ref[order])) <= 1e-13
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(quermass.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, quermass, quermass.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_grid_fingerprint_and_json_roundtrip(tmp_path, grid3):

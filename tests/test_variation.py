@@ -13,6 +13,7 @@ from quermass import (
     TestFunction,
     UnsupportedBodyError,
     VariationPath,
+    WulffSampled,
     ball_fk,
     ball_fk_prime,
     ball_fk_second,
@@ -29,6 +30,7 @@ from quermass import (
     poincare_check,
     build_grid,
 )
+from quermass import bodies
 
 
 def _centered_quadratic(rng, n, amplitude):
@@ -347,6 +349,19 @@ def test_christoffel_perturbed_ball_scales_linearly(grid3):
     _, m2 = christoffel_residual_grid(LogPerturbedBall(psi, 0.1), 0.5, 2, grid3)
     assert m1 > 1e-3
     assert 1.8 < m2 / m1 < 2.5
+
+
+def test_christoffel_rejects_non_smooth_body_before_any_lp(grid3, monkeypatch):
+    # a WulffSampled body would cost one LP per node before Q[h] rejects it
+    def no_lp(*args):
+        raise AssertionError("support_lp called for a non-smooth body")
+
+    monkeypatch.setattr(bodies, "support_lp", no_lp)
+    body = WulffSampled(grid3.nodes, np.ones(grid3.node_count))
+    with pytest.raises(UnsupportedBodyError):
+        christoffel_residual_grid(body, 0.5, 2, grid3)
+    with pytest.raises(UnsupportedBodyError):
+        christoffel_residual(body, 0.5, 2, grid3.nodes[0])
 
 
 def test_christoffel_domain(grid3):
