@@ -16,7 +16,7 @@ class DomainError(QuermassError, ValueError):
 
 
 class EvaluationError(QuermassError):
-    """A field returned a non-finite value during quadrature or differencing."""
+    """A field, or a support jet and its Q[h], is non-finite at some node."""
 
     def __init__(self, message: str, node_index: int | None = None, point=None):
         super().__init__(message)

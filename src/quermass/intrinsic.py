@@ -29,7 +29,9 @@ densities S_{k-1}(Q[h]) and the intrinsic volumes
     V_k(K) = (1 / (k kappa_{n-k})) int_{S^{n-1}} h S_{k-1}(Q[h]) dx,
 
 normalized so that V_k of the unit ball is binom(n,k) kappa_n/kappa_{n-k}
-and V_k of a box with half-lengths a_i is 2^k e_k(a_1..a_n).
+and V_k of a box with half-lengths a_i is 2^k e_k(a_1..a_n).  V_k, f_k
+and the Christoffel-Minkowski residual all take h, Q[h] and S_r(Q[h]) from
+``_curvature`` and decide Q[h] > 0 with ``_pd_violation``.
 """
 
 from __future__ import annotations
@@ -41,23 +43,25 @@ import numpy as np
 
 from . import calculus
 from .bodies import Ball, Body, Box, EmbeddedCube, require_smooth
-from .errors import DomainError
+from .errors import DomainError, EvaluationError
 # KAPPA and unit_ball_volume live in sphere and stay importable from here.
 from .sphere import (KAPPA, SphericalGrid, TangentFrame, build_grid,
                      tangent_frame, unit_ball_volume)
 
 
-def _check_square(A: np.ndarray) -> np.ndarray:
+def _check_order(name: str, value: int, lo: int, hi: int) -> None:
+    if not lo <= value <= hi:
+        raise DomainError(f"order {name} must satisfy {lo} <= {name} <= {hi}, got {value}")
+
+
+def _check_symmetric(A: np.ndarray, r: int, lo: int) -> np.ndarray:
+    """A as a float symmetric square matrix of size N, with lo <= r <= N."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DomainError("expected a square matrix")
-    return A
-
-
-def _check_symmetric(A: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    A = _check_square(A)
-    if A.size and np.max(np.abs(A - A.T)) > tol * (1.0 + np.max(np.abs(A))):
+    if A.size and np.max(np.abs(A - A.T)) > 1e-10 * (1.0 + np.max(np.abs(A))):
         raise DomainError("matrix must be symmetric")
+    _check_order("r", r, lo, A.shape[0])
     return A
 
 
@@ -89,10 +93,7 @@ def _elem_sym_all_batch(A: np.ndarray) -> np.ndarray:
 
 def elem_sym(r: int, A: np.ndarray) -> float:
     """Elementary symmetric function S_r of the eigenvalues of symmetric A."""
-    A = _check_symmetric(A)
-    N = A.shape[0]
-    if not 0 <= r <= N:
-        raise DomainError(f"order r must satisfy 0 <= r <= {N}, got {r}")
+    A = _check_symmetric(A, r, 0)
     return float(_elem_sym_all_batch(A[None])[0, r])
 
 
@@ -113,10 +114,7 @@ def cofactor(r: int, A: np.ndarray) -> np.ndarray:
     Closed form: sum_{m=0}^{r-1} (-1)^m S_{r-1-m}(A) A^m; for r = N this
     is the adjugate, and at A = I_N it equals binom(N-1, r-1) I_N.
     """
-    A = _check_symmetric(A)
-    N = A.shape[0]
-    if not 1 <= r <= N:
-        raise DomainError(f"order r must satisfy 1 <= r <= {N}, got {r}")
+    A = _check_symmetric(A, r, 1)
     return _cofactor_batch(A[None], r)[0]
 
 
@@ -144,10 +142,8 @@ def second_cofactor(r: int, A: np.ndarray) -> np.ndarray:
     what contractions against symmetric matrices see.  S_1^{ij,kl}
     vanishes identically; r = 2 gives a constant tensor.
     """
-    A = _check_symmetric(A)
+    A = _check_symmetric(A, r, 1)
     N = A.shape[0]
-    if not 1 <= r <= N:
-        raise DomainError(f"order r must satisfy 1 <= r <= {N}, got {r}")
     k, l = np.triu_indices(N)
     X = np.zeros((k.size, N, N))
     X[np.arange(k.size), k, l] += 0.5
@@ -159,6 +155,45 @@ def second_cofactor(r: int, A: np.ndarray) -> np.ndarray:
     return out
 
 
+def _curvature(jet: calculus.Jet, nodes: np.ndarray, frames: np.ndarray):
+    """(h, Q[h], S_0..S_N(Q[h])) at the nodes from an exact support jet.
+
+    Shapes (m,), (m, N, N) and (m, N + 1).  Raises EvaluationError naming
+    the first node, and its point, where h or an entry of Q is not finite.
+    """
+    h = jet.value
+    Q = calculus.q_from_jet(jet, nodes, frames)
+    finite = np.isfinite(h) & np.isfinite(Q).all(axis=(1, 2))
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise EvaluationError(f"h or Q[h] is not finite at node {bad}, x = {nodes[bad].tolist()}",
+                              node_index=bad, point=np.array(nodes[bad]))
+    return h, Q, _elem_sym_all_batch(Q)
+
+
+def _pd_violation(Q: np.ndarray) -> tuple[int, float] | None:
+    """None if every matrix of the finite batch Q is positive definite.
+
+    One batched Cholesky decides; only when it fails does ``eigvalsh`` run,
+    to confirm and to return (index, least eigenvalue) of the worst matrix.
+    """
+    try:
+        np.linalg.cholesky(Q)
+        return None
+    except np.linalg.LinAlgError:
+        lo = np.linalg.eigvalsh(Q)[:, 0]
+    bad = int(np.argmin(lo))
+    return None if lo[bad] > 0.0 else (bad, float(lo[bad]))
+
+
+def _at_point(x: np.ndarray, frame: TangentFrame | None):
+    """One direction as a one-row node array and its (1, n-1, n) frames."""
+    x = np.asarray(x, dtype=float)
+    if frame is None:
+        frame = tangent_frame(x)
+    return x[None, :], frame.vectors[None, :, :]
+
+
 def q_matrix(body: Body, x: np.ndarray, frame: TangentFrame | None = None) -> np.ndarray:
     """Q[h] = (h_ij + h delta_ij) at a unit direction, in the given frame.
 
@@ -167,32 +202,29 @@ def q_matrix(body: Body, x: np.ndarray, frame: TangentFrame | None = None) -> np
     depend on the frame choice.
     """
     require_smooth(body, "q_matrix")
-    if frame is None:
-        frame = tangent_frame(x)
-    X = np.asarray(x, dtype=float)[None, :]
-    return calculus.q_from_jet(body.support_jet(X), X, frame.vectors[None, :, :])[0]
+    X, frames = _at_point(x, frame)
+    return calculus.q_from_jet(body.support_jet(X), X, frames)[0]
 
 
-def q_matrix_nodes(body: Body, grid: SphericalGrid):
+def q_matrix_nodes(body: Body, grid: SphericalGrid) -> np.ndarray:
     """Q[h] at every grid node using the grid's cached frames.
 
-    Returns (Q, err) with Q of shape (m, n-1, n-1), exact from the body's
-    support jet, and err the per-node derivative error, which is zero on
-    this exact route (shape (m,)).
+    Shape (m, n-1, n-1), exact from the body's support jet.
     """
     require_smooth(body, "q_matrix_nodes")
-    Q = calculus.q_from_jet(body.support_jet(grid.nodes), grid.nodes, grid.frames)
-    return Q, np.zeros(grid.node_count)
+    return calculus.q_from_jet(body.support_jet(grid.nodes), grid.nodes, grid.frames)
 
 
 def area_measure_density(body: Body, k: int, x: np.ndarray,
                          frame: TangentFrame | None = None) -> float:
-    """Density S_{k-1}(Q[h]) of the (k-1)-st area measure at direction x."""
-    n = np.asarray(x).shape[-1]
-    if not 1 <= k <= n:
-        raise DomainError(f"order k must satisfy 1 <= k <= {n}, got {k}")
-    Q = q_matrix(body, x, frame)
-    return float(_elem_sym_all_batch(Q[None])[0, k - 1])
+    """Density S_{k-1}(Q[h]) of the (k-1)-st area measure at direction x.
+
+    Raises EvaluationError if h or Q[h] is not finite at x.
+    """
+    _check_order("k", k, 1, np.asarray(x).shape[-1])
+    require_smooth(body, "area_measure_density")
+    X, frames = _at_point(x, frame)
+    return float(_curvature(body.support_jet(X), X, frames)[2][0, k - 1])
 
 
 @dataclass(frozen=True)
@@ -207,32 +239,28 @@ class IntrinsicVolumeResult:
 
 
 def _vk_integral(body: Body, k: int, grid: SphericalGrid):
-    h = np.asarray(body.support_values(grid.nodes), dtype=float)
-    Q, _ = q_matrix_nodes(body, grid)
-    dens = _elem_sym_all_batch(Q)[:, k - 1]
-    pd = bool(np.all(np.linalg.eigvalsh(Q)[:, 0] > 0.0))
+    h, Q, S = _curvature(body.support_jet(grid.nodes), grid.nodes, grid.frames)
     n = grid.dimension
-    value = float(np.dot(grid.weights, h * dens)) / (k * unit_ball_volume(n - k))
-    return value, pd
+    value = float(np.dot(grid.weights, h * S[:, k - 1])) / (k * unit_ball_volume(n - k))
+    return value, _pd_violation(Q) is None
 
 
-def vk_quadrature(body: Body, k: int, grid: SphericalGrid,
-                  error_estimate: bool = True) -> IntrinsicVolumeResult:
+def vk_quadrature(body: Body, k: int, grid: SphericalGrid) -> IntrinsicVolumeResult:
     """V_k of a smooth body by spherical quadrature of h S_{k-1}(Q[h]).
 
     The error estimate is the difference against a companion grid at half
     the resolution (same method and seed); it is 0 when no coarser grid
     exists.  A non-positive-definite Q at some node is reported through
     ``q_positive_definite`` rather than raised, since it usually signals
-    loss of convexity rather than an evaluation failure.
+    loss of convexity rather than an evaluation failure; a non-finite h or
+    Q at some node raises EvaluationError.
     """
     n = grid.dimension
-    if not 1 <= k <= n:
-        raise DomainError(f"order k must satisfy 1 <= k <= {n}, got {k}")
+    _check_order("k", k, 1, n)
     require_smooth(body, "vk_quadrature")
     value, pd = _vk_integral(body, k, grid)
     delta = 0.0
-    if error_estimate and grid.resolution >= 2:
+    if grid.resolution >= 2:
         coarse = build_grid(n, grid.resolution // 2, grid.method, seed=grid.seed)
         coarse_value, _ = _vk_integral(body, k, coarse)
         delta = abs(value - coarse_value)
@@ -242,8 +270,7 @@ def vk_quadrature(body: Body, k: int, grid: SphericalGrid,
 
 def vk_ball(n: int, k: int, radius: float = 1.0) -> IntrinsicVolumeResult:
     """Closed form V_k(R B_n) = binom(n, k) kappa_n R^k / kappa_{n-k}."""
-    if not 0 <= k <= n:
-        raise DomainError(f"order k must satisfy 0 <= k <= {n}, got {k}")
+    _check_order("k", k, 0, n)
     if radius < 0.0:
         raise DomainError("radius must be non-negative")
     value = math.comb(n, k) * unit_ball_volume(n) * radius ** k / unit_ball_volume(n - k)
@@ -258,8 +285,7 @@ def vk_box(half_lengths, k: int) -> IntrinsicVolumeResult:
     """
     a = [float(v) for v in half_lengths]
     n = len(a)
-    if not 0 <= k <= n:
-        raise DomainError(f"order k must satisfy 0 <= k <= {n}, got {k}")
+    _check_order("k", k, 0, n)
     if any(v < 0.0 for v in a):
         raise DomainError("box half-lengths must be non-negative")
     e = [0.0] * (k + 1)

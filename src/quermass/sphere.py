@@ -411,21 +411,19 @@ def build_grid(n: int, resolution: int, method: str, seed: int | None = None) ->
 def integrate(grid: SphericalGrid, f) -> float:
     """Integrate a scalar field over the sphere with the grid's rule.
 
-    ``f`` is called with the full (m, n) node array and must return m
-    values; a callable accepting single points is handled as a fallback.
+    ``f`` is called once, with the full (m, n) node array.
 
     Raises
     ------
+    DomainError
+        If f does not return shape (m,), as with a single-point callable.
     EvaluationError
         If any field value is non-finite; the error records the offending
         node index and coordinates.
     """
-    try:
-        vals = np.asarray(f(grid.nodes), dtype=float)
-        if vals.shape != (grid.node_count,):
-            raise TypeError
-    except TypeError:
-        vals = np.array([float(f(x)) for x in grid.nodes])
+    vals = np.asarray(f(grid.nodes), dtype=float)
+    if vals.shape != (grid.node_count,):
+        raise DomainError(f"field must return shape ({grid.node_count},), got {vals.shape}")
     if not np.all(np.isfinite(vals)):
         bad = int(np.flatnonzero(~np.isfinite(vals))[0])
         raise EvaluationError(

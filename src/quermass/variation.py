@@ -43,20 +43,22 @@ from . import calculus
 from .bodies import Body, require_smooth
 from .errors import DomainError, PathValidityError
 from .intrinsic import (
+    _at_point,
+    _check_order,
     _cofactor_batch,
-    _elem_sym_all_batch,
+    _curvature,
+    _pd_violation,
     _second_cofactor_batch,
-    q_matrix,
     q_matrix_nodes,
 )
-from .sphere import SphericalGrid, TestFunction, integrate
+from .sphere import SphericalGrid, TestFunction, integrate, surface_area
 
 S_WINDOW = (-2.0, 2.0)
 _VALIDITY_SAMPLES = (-2.0, -1.0, 0.0, 1.0, 2.0)
-
-
-def _min_eig(Q: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvalsh(Q)[:, 0]
+#: A scan's tolerance on H(s), relative to f_k(0)^2.
+CONCAVITY_TOLERANCE = 1e-8
+#: Relative and absolute slack of the Poincare inequality check.
+POINCARE_SLACK = 1e-9
 
 
 def _jet(f, X: np.ndarray, what: str) -> calculus.Jet:
@@ -74,8 +76,9 @@ class VariationPath:
     The jets of psi and of h at the grid nodes are computed once, so each
     new s costs one exp plus product-rule arithmetic, and every Q is
     exact.  Construction verifies that Q[h_s] is positive definite at every
-    grid node for s in {-2, -1, 0, 1, 2}.  Node data is cached for s = 0,
-    which fixes the tolerance of a scan, and for the most recent s only.
+    grid node for s in {-2, -1, 0, 1, 2} (else PathValidityError); a
+    non-finite h_s or Q[h_s] raises EvaluationError.  Node data is cached
+    for s = 0, which fixes the tolerance of a scan, and for the latest s.
     """
 
     body: Body
@@ -88,9 +91,7 @@ class VariationPath:
 
     def __post_init__(self):
         require_smooth(self.body, "VariationPath")
-        n = self.grid.dimension
-        if not 1 <= self.k <= n:
-            raise DomainError(f"order k must satisfy 1 <= k <= {n}, got {self.k}")
+        _check_order("k", self.k, 1, self.grid.dimension)
         self._psi_jet = _jet(self.psi, self.grid.nodes, "VariationPath")
         self._body_jet = self.body.support_jet(self.grid.nodes)
         for s in _VALIDITY_SAMPLES:
@@ -105,23 +106,14 @@ class VariationPath:
         data = self._cache.get(key)
         if data is None:
             jet = self._body_jet * self._psi_jet.scaled(key).exp()
-            Q = self._q(jet)
-            lo = _min_eig(Q)
-            if not np.all(lo > 0.0):
-                bad = int(np.argmin(lo))
+            h, Q, S = _curvature(jet, self.grid.nodes, self.grid.frames)
+            violation = _pd_violation(Q)
+            if violation is not None:
+                bad, lo = violation
                 raise PathValidityError(
-                    f"Q[h_s] not positive definite at s={key} (node {bad}, "
-                    f"min eigenvalue {lo[bad]:.3e}); the path left the smooth "
-                    "convex cone",
-                    s=key,
-                    node_index=bad,
-                )
-            data = {
-                "jet": jet,
-                "h": jet.value,
-                "Q": Q,
-                "dens": _elem_sym_all_batch(Q)[:, self.k - 1],
-            }
+                    f"Q[h_s] not positive definite at s={key} (node {bad}, min eigenvalue "
+                    f"{lo:.3e}); the path left the smooth convex cone", s=key, node_index=bad)
+            data = {"jet": jet, "h": h, "Q": Q, "dens": S[:, self.k - 1]}
             self._cache = {s0: d for s0, d in self._cache.items() if s0 == 0.0}
             self._cache[key] = data
         return data
@@ -245,12 +237,11 @@ class ConcavityReport:
         return rows
 
 
-def concavity_scan(path: VariationPath, s_values=None,
-                   tolerance_scale: float = 1e-8) -> ConcavityReport:
+def concavity_scan(path: VariationPath, s_values=None) -> ConcavityReport:
     """Evaluate H(s) = f_k f_k'' - (f_k')^2 on a grid of s values.
 
     Verdict is ``strictly-concave`` if H < -tol everywhere, ``concave`` if
-    H <= tol everywhere, else ``violated``; tol = tolerance_scale * f_k(0)^2
+    H <= tol everywhere, else ``violated``; tol = CONCAVITY_TOLERANCE * f_k(0)^2
     absorbs quadrature and rounding noise (relevant for constant psi,
     where H vanishes identically).
     """
@@ -260,7 +251,7 @@ def concavity_scan(path: VariationPath, s_values=None,
     if not s_values:
         raise DomainError("concavity_scan needs at least one s value")
     f0 = f_k(path, 0.0)
-    tol = tolerance_scale * f0 * f0
+    tol = CONCAVITY_TOLERANCE * f0 * f0
     fs, f1s, f2s, Hs = [], [], [], []
     for s in s_values:
         fv = f_k(path, s)
@@ -294,17 +285,13 @@ def concavity_scan(path: VariationPath, s_values=None,
 
 def ball_fk(n: int, k: int) -> float:
     """f_k(0) for the unit ball: |S^{n-1}|/k * binom(n-1, k-1)."""
-    if not 1 <= k <= n:
-        raise DomainError(f"order k must satisfy 1 <= k <= {n}, got {k}")
-    from .sphere import surface_area
-
+    _check_order("k", k, 1, n)
     return surface_area(n) / k * math.comb(n - 1, k - 1)
 
 
 def ball_fk_prime(n: int, k: int, psi, grid: SphericalGrid) -> float:
     """f_k'(0) at the unit ball: binom(n-1, k-1) int psi."""
-    if not 1 <= k <= n:
-        raise DomainError(f"order k must satisfy 1 <= k <= {n}, got {k}")
+    _check_order("k", k, 1, n)
     return math.comb(n - 1, k - 1) * integrate(grid, psi)
 
 
@@ -339,11 +326,12 @@ class PoincareResult:
     degenerate: bool = False
 
 
-def poincare_check(psi, grid: SphericalGrid, slack: float = 1e-9) -> PoincareResult:
+def poincare_check(psi, grid: SphericalGrid) -> PoincareResult:
     """Check int psi^2 <= (1/2n) int |grad psi|^2 for even zero-mean psi.
 
     Equality holds exactly on degree-2 spherical harmonics (the first even
-    eigenvalue of -Lap is 2n); higher even harmonics give ratio < 1.  The
+    eigenvalue of -Lap is 2n); higher even harmonics give ratio < 1.  It is
+    satisfied within the relative and absolute slack POINCARE_SLACK.  The
     spherical gradient (I - x x^T) grad psi is exact from psi's jet.
 
     Raises
@@ -370,7 +358,7 @@ def poincare_check(psi, grid: SphericalGrid, slack: float = 1e-9) -> PoincareRes
                               degenerate=True)
     ratio = lhs / rhs
     return PoincareResult(lhs=lhs, rhs=rhs, ratio=ratio,
-                          satisfied=lhs <= rhs * (1.0 + slack) + slack)
+                          satisfied=lhs <= rhs * (1.0 + POINCARE_SLACK) + POINCARE_SLACK)
 
 
 # -- integration-by-parts identities ---------------------------------------
@@ -399,23 +387,18 @@ def ibp_check(body: Body, phi, phibar, psi, k: int, grid: SphericalGrid) -> IbpR
     phi, phibar and psi, which must have them.
     """
     require_smooth(body, "ibp_check")
-    n = grid.dimension
-    if not 1 <= k <= n - 1:
-        raise DomainError(f"order k must satisfy 1 <= k <= {n - 1}, got {k}")
+    _check_order("k", k, 1, grid.dimension - 1)
     w, nodes, frames = grid.weights, grid.nodes, grid.frames
-    Qh, _ = q_matrix_nodes(body, grid)
+    Qh = q_matrix_nodes(body, grid)
     cof = _cofactor_batch(Qh, k)
     jphi, jphibar, jpsi = (_jet(f, nodes, "ibp_check") for f in (phi, phibar, psi))
-    qphi = calculus.q_from_jet(jphi, nodes, frames)
-    qphibar = calculus.q_from_jet(jphibar, nodes, frames)
-    vphi, vphibar = jphi.value, jphibar.value
+    qphi, qphibar, qpsi = (calculus.q_from_jet(j, nodes, frames) for j in (jphi, jphibar, jpsi))
+    vphi, vphibar, vpsi = jphi.value, jphibar.value, jpsi.value
 
     a1 = float(np.dot(w, vphibar * np.einsum("mij,mij->m", cof, qphi)))
     a2 = float(np.dot(w, vphi * np.einsum("mij,mij->m", cof, qphibar)))
 
     dcof = _second_cofactor_batch(Qh, k, qphi)
-    qpsi = calculus.q_from_jet(jpsi, nodes, frames)
-    vpsi = jpsi.value
     b1 = float(np.dot(w, vpsi * np.einsum("mij,mij->m", dcof, qphibar)))
     b2 = float(np.dot(w, vphibar * np.einsum("mij,mij->m", dcof, qpsi)))
 
@@ -429,42 +412,34 @@ def ibp_check(body: Body, phi, phibar, psi, k: int, grid: SphericalGrid) -> IbpR
 
 # -- Christoffel-Minkowski residual ----------------------------------------
 
+def _christoffel(body: Body, p: float, k: int, nodes: np.ndarray,
+                 frames: np.ndarray) -> np.ndarray:
+    """h^{1-p} S_{k-1}(Q[h]) - binom(n-1, k-1) at the rows of nodes."""
+    if not 0.0 <= p < 1.0:
+        raise DomainError(f"p must lie in [0, 1), got {p}")
+    n = nodes.shape[-1]
+    _check_order("k", k, 2, n)
+    require_smooth(body, "christoffel_residual")
+    h, _, S = _curvature(body.support_jet(nodes), nodes, frames)
+    if np.any(h <= 0.0):
+        raise DomainError("christoffel residual requires positive support")
+    return h ** (1.0 - p) * S[:, k - 1] - math.comb(n - 1, k - 1)
+
+
 def christoffel_residual(body: Body, p: float, k: int, x: np.ndarray,
                          frame=None) -> float:
     """Residual h^{1-p} S_{k-1}(Q[h]) - binom(n-1, k-1) at direction x.
 
     Zero exactly at the unit ball; the scaled ball R B_n gives the constant
-    (R^{k-p} - 1) binom(n-1, k-1).
+    (R^{k-p} - 1) binom(n-1, k-1).  A non-finite h or Q[h] raises
+    EvaluationError.
     """
-    if not 0.0 <= p < 1.0:
-        raise DomainError(f"p must lie in [0, 1), got {p}")
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    if not 2 <= k <= n:
-        raise DomainError(f"order k must satisfy 2 <= k <= {n}, got {k}")
-    require_smooth(body, "christoffel_residual")
-    h = float(np.asarray(body.support_values(x[None, :]))[0])
-    if h <= 0.0:
-        raise DomainError("christoffel residual requires positive support at x")
-    Q = q_matrix(body, x, frame)
-    dens = float(_elem_sym_all_batch(Q[None])[0, k - 1])
-    return h ** (1.0 - p) * dens - math.comb(n - 1, k - 1)
+    return float(_christoffel(body, p, k, *_at_point(x, frame))[0])
 
 
 def christoffel_residual_grid(body: Body, p: float, k: int, grid: SphericalGrid):
     """Residual field on all grid nodes; returns (values, max_abs)."""
-    if not 0.0 <= p < 1.0:
-        raise DomainError(f"p must lie in [0, 1), got {p}")
-    n = grid.dimension
-    if not 2 <= k <= n:
-        raise DomainError(f"order k must satisfy 2 <= k <= {n}, got {k}")
-    require_smooth(body, "christoffel_residual")
-    h = np.asarray(body.support_values(grid.nodes), dtype=float)
-    if np.any(h <= 0.0):
-        raise DomainError("christoffel residual requires positive support")
-    Q, _ = q_matrix_nodes(body, grid)
-    dens = _elem_sym_all_batch(Q)[:, k - 1]
-    vals = h ** (1.0 - p) * dens - math.comb(n - 1, k - 1)
+    vals = _christoffel(body, p, k, grid.nodes, grid.frames)
     return vals, float(np.max(np.abs(vals)))
 
 

@@ -78,6 +78,23 @@ def test_bad_body_spec_exits_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["vk", "christoffel"])
+def test_non_finite_support_exits_1_without_report(command, tmp_path, capsys):
+    # a NaN log-perturbation gives NaN support at every node: one error line
+    # and no report, rather than "V_2 = nan" and a --json file that is not JSON
+    body = json.dumps({"type": "log_perturbed_ball", "s": float("nan"),
+                       "psi": {"dimension": 3, "terms": [[1.0, [2, 0, 0]]]}})
+    report, table = tmp_path / "r.json", tmp_path / "r.csv"
+    rc = main([command, "--n", "3", "--k", "2", "--body", body,
+               "--json", str(report), "--out", str(table)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line[:6] for line in captured.err.splitlines()] == ["error:"]
+    assert "not finite at node 0" in captured.err
+    assert not report.exists() and not table.exists()
+
+
 def test_body_from_json_file(tmp_path, capsys):
     body = tmp_path / "body.json"
     body.write_text(json.dumps({"type": "ball", "radius": 2.0}))

@@ -10,8 +10,10 @@ from numpy.testing import assert_allclose
 
 from quermass import (
     Ball,
+    Body,
     Box,
     DomainError,
+    EvaluationError,
     LogPerturbedBall,
     TestFunction,
     UnsupportedBodyError,
@@ -30,7 +32,7 @@ from quermass import (
     vk_quadrature,
 )
 from quermass import intrinsic, sphere
-from quermass.intrinsic import _second_cofactor_batch
+from quermass.intrinsic import _pd_violation, _second_cofactor_batch
 
 
 def _random_symmetric(rng, N):
@@ -305,10 +307,9 @@ def test_q_matrix_ball(grid3):
     x = grid3.nodes[5]
     Q = q_matrix(Ball(2.0), x)
     assert_allclose(Q, 2.0 * np.eye(2), atol=1e-9)
-    Q_all, err = q_matrix_nodes(Ball(2.0), grid3)
+    Q_all = q_matrix_nodes(Ball(2.0), grid3)
     assert Q_all.shape == (grid3.node_count, 2, 2)
     assert_allclose(Q_all, np.broadcast_to(2.0 * np.eye(2), Q_all.shape), atol=1e-9)
-    assert err.max() < 1e-5
 
 
 def test_q_matrix_requires_smooth(grid3):
@@ -393,6 +394,60 @@ def test_vk_quadrature_rejects_bad_k(grid3):
         vk_quadrature(Ball(1.0), 0, grid3)
     with pytest.raises(DomainError):
         vk_quadrature(Ball(1.0), 4, grid3)
+
+
+class _NanHessianAt(Body):
+    """The unit ball with a NaN in the support Hessian at one node."""
+
+    is_smooth = True
+
+    def __init__(self, node):
+        self.node = node
+
+    def support_jet(self, U):
+        jet = Ball(1.0).support_jet(U)
+        jet.hess[self.node, 0, 0] = np.nan
+        return jet
+
+
+def test_non_finite_support_raises_evaluation_error(grid3):
+    # NaN in h (a NaN log-perturbation) or in one entry of Q names the first
+    # bad node instead of returning V_k = nan
+    nan_body = LogPerturbedBall(TestFunction.coordinate_harmonic(3), float("nan"))
+    for body, node in ((nan_body, 0), (_NanHessianAt(7), 7)):
+        with pytest.raises(EvaluationError) as exc_info:
+            vk_quadrature(body, 2, grid3)
+        assert exc_info.value.node_index == node
+        assert_allclose(exc_info.value.point, grid3.nodes[node], rtol=0, atol=0)
+    with pytest.raises(EvaluationError):
+        area_measure_density(nan_body, 2, grid3.nodes[3])
+
+
+def _known_spectrum_batch(rng, N, m):
+    # V diag(lam) V^T with the largest eigenvalue L, one eigenvalue of either
+    # sign at 1e-10 .. 1e-2 of L, and the rest log-uniform in [1e-8 L, L]
+    # (spectra like {+-0.01, 1e-4, 1, 1e4}, where the signs of S_1..S_N
+    # computed in floating point do not tell positive definiteness)
+    L = 10.0 ** rng.uniform(-3.0, 3.0, m)
+    lam = L[:, None] * 10.0 ** rng.uniform(-8.0, 0.0, (m, N))
+    lam[:, 0] = L
+    lam[:, -1] = rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-10.0, -2.0, m) * L
+    V, _ = np.linalg.qr(rng.standard_normal((m, N, N)))
+    return (V * lam[:, None, :]) @ np.swapaxes(V, 1, 2)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+def test_pd_violation_agrees_with_least_eigenvalue(N):
+    rng = np.random.default_rng(100 + N)
+    Q = _known_spectrum_batch(rng, N, 800)
+    lo = np.linalg.eigvalsh(Q)[:, 0]
+    # the sign is decided by construction, far above rounding
+    assert 0 < np.count_nonzero(lo > 0.0) < len(lo)
+    verdicts = np.array([_pd_violation(Q[i:i + 1]) is None for i in range(len(Q))])
+    assert np.array_equal(verdicts, lo > 0.0)
+    # on the whole batch: the worst matrix and its least eigenvalue
+    assert _pd_violation(Q) == (int(np.argmin(lo)), float(lo.min()))
+    assert _pd_violation(Q[lo > 0.0]) is None
 
 
 def test_vk_monotone_under_inclusion(grid3):

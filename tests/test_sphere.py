@@ -218,9 +218,12 @@ def test_integrate_rejects_non_finite(grid3):
     assert exc_info.value.node_index == 3
 
 
-def test_integrate_scalar_fallback(grid3):
-    # non-vectorized callables are evaluated node by node
-    val = integrate(grid3, lambda x: float(np.sum(x**2)))
+def test_integrate_rejects_scalar_field(grid3):
+    # the field is called once on all nodes; a single-point callable returns
+    # one value for the whole array, which is rejected instead of looped over
+    with pytest.raises(DomainError):
+        integrate(grid3, lambda x: float(np.sum(x**2)))
+    val = integrate(grid3, lambda X: np.sum(X**2, axis=1))
     assert_allclose(val, surface_area(3), rtol=1e-13)
 
 

@@ -8,6 +8,7 @@ from quermass import (
     Ball,
     Box,
     DomainError,
+    EvaluationError,
     LogPerturbedBall,
     PathValidityError,
     TestFunction,
@@ -61,6 +62,21 @@ def test_path_leaves_cone_for_large_amplitude(grid3):
         VariationPath(Ball(1.0), psi, 2, grid3)
     assert abs(exc_info.value.s) <= 2.0
     assert exc_info.value.node_index >= 0
+
+
+def test_non_finite_support_raises_evaluation_error(grid3):
+    # a NaN log-perturbation is not a path that left the cone: every node is
+    # NaN, and the first one is named
+    psi = TestFunction.coordinate_harmonic(3)
+    body = LogPerturbedBall(psi, float("nan"))
+    with pytest.raises(EvaluationError) as exc_info:
+        VariationPath(body, psi, 2, grid3)
+    assert exc_info.value.node_index == 0
+    assert_allclose(exc_info.value.point, grid3.nodes[0], rtol=0, atol=0)
+    with pytest.raises(EvaluationError):
+        christoffel_residual_grid(body, 0.5, 2, grid3)
+    with pytest.raises(EvaluationError):
+        christoffel_residual(body, 0.5, 2, grid3.nodes[0])
 
 
 # -- values and closed forms ------------------------------------------------
