@@ -59,8 +59,8 @@ class Ball(Body):
     is_smooth = True
 
     def __post_init__(self):
-        if self.radius < 0.0:
-            raise DomainError("ball radius must be non-negative")
+        if not 0.0 <= self.radius < np.inf:
+            raise DomainError("ball radius must be finite and non-negative")
 
     def support_values(self, U: np.ndarray) -> np.ndarray:
         return np.full(U.shape[0], float(self.radius))
@@ -81,8 +81,8 @@ class Box(Body):
     half_lengths: tuple[float, ...]
 
     def __post_init__(self):
-        if any(a < 0.0 for a in self.half_lengths):
-            raise DomainError("box half-lengths must be non-negative")
+        if not all(0.0 <= a < np.inf for a in self.half_lengths):
+            raise DomainError("box half-lengths must be finite and non-negative")
 
     @property
     def dimension(self) -> int:

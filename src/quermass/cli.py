@@ -24,10 +24,10 @@ outputs.
 Exit codes: 0 success (and affirmative outcome for check-style commands);
 1 runtime error (a bad or unreadable body or psi spec, an unsupported
 operation, any other package error); 2 usage error, including an
-unreadable --config file, an unknown key or bad value in it, and a grid
-option the run would ignore (a seed on a grid that takes none, any grid
-option on closed-form vk); 3 check
-completed with a negative outcome (violated concavity, unsatisfied
+unreadable --config file, an unknown key or bad value in it, a NaN or
+infinite float flag or value, and a grid option the run would ignore (a
+seed on a grid that takes none, any grid option on closed-form vk); 3
+check completed with a negative outcome (violated concavity, unsatisfied
 inequality, residual above tolerance, or a counterexample verdict
 inconsistent with its threshold).
 """
@@ -179,6 +179,17 @@ class _Option(NamedTuple):
     help: str | None = None
 
 
+def _finite_float(value) -> float:
+    """A float option's value, from a flag or --config; both accept NaN and infinities."""
+    try:
+        number = float(value)
+    except ValueError:
+        number = np.nan
+    if not np.isfinite(number):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {value!r}")
+    return number
+
+
 def _check_value(key: str, opt: _Option, value):
     """A --config value, held to the type or choices of its flag."""
     if value is None and opt.default is None:
@@ -192,7 +203,10 @@ def _check_value(key: str, opt: _Option, value):
         want = f"of type {opt.kind.__name__}"
     if not ok:
         raise _UsageError(f"--config key {key!r} must be {want}, got {value!r}")
-    return float(value) if opt.kind is float else value
+    try:
+        return _finite_float(value) if opt.kind is float else value
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"--config key {key!r} {exc}") from None
 
 
 def _effective_config(args: argparse.Namespace, options: dict[str, _Option]) -> dict:
@@ -434,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
             elif isinstance(opt.kind, tuple):
                 sp.add_argument(flag, choices=opt.kind, **kwargs)
             else:
-                sp.add_argument(flag, type=opt.kind, **kwargs)
+                sp.add_argument(flag, type=_finite_float if opt.kind is float else opt.kind,
+                                **kwargs)
     return parser
 
 

@@ -155,6 +155,16 @@ def second_cofactor(r: int, A: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_finite(what: str, nodes: np.ndarray, *arrays: np.ndarray) -> None:
+    """EvaluationError naming the first node, and its point, where an entry of
+    one of the arrays (each with one leading row per node) is not finite."""
+    finite = np.all([np.isfinite(a).reshape(len(nodes), -1).all(axis=1) for a in arrays], axis=0)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise EvaluationError(f"{what} is not finite at node {bad}, x = {nodes[bad].tolist()}",
+                              node_index=bad, point=np.array(nodes[bad]))
+
+
 def _curvature(jet: calculus.Jet, nodes: np.ndarray, frames: np.ndarray):
     """(h, Q[h], S_0..S_N(Q[h])) at the nodes from an exact support jet.
 
@@ -163,11 +173,7 @@ def _curvature(jet: calculus.Jet, nodes: np.ndarray, frames: np.ndarray):
     """
     h = jet.value
     Q = calculus.q_from_jet(jet, nodes, frames)
-    finite = np.isfinite(h) & np.isfinite(Q).all(axis=(1, 2))
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise EvaluationError(f"h or Q[h] is not finite at node {bad}, x = {nodes[bad].tolist()}",
-                              node_index=bad, point=np.array(nodes[bad]))
+    _check_finite("h or Q[h]", nodes, h, Q)
     return h, Q, _elem_sym_all_batch(Q)
 
 
@@ -209,10 +215,13 @@ def q_matrix(body: Body, x: np.ndarray, frame: TangentFrame | None = None) -> np
 def q_matrix_nodes(body: Body, grid: SphericalGrid) -> np.ndarray:
     """Q[h] at every grid node using the grid's cached frames.
 
-    Shape (m, n-1, n-1), exact from the body's support jet.
+    Shape (m, n-1, n-1), exact from the body's support jet; EvaluationError
+    if an entry is not finite.
     """
     require_smooth(body, "q_matrix_nodes")
-    return calculus.q_from_jet(body.support_jet(grid.nodes), grid.nodes, grid.frames)
+    Q = calculus.q_from_jet(body.support_jet(grid.nodes), grid.nodes, grid.frames)
+    _check_finite("Q[h]", grid.nodes, Q)
+    return Q
 
 
 def area_measure_density(body: Body, k: int, x: np.ndarray,

@@ -16,6 +16,9 @@ closed expressions in the cofactors of S_{k-1}:
              + int psi h_s <S_{k-1}^{ij,rs}, Q[psi h_s] (x) Q[psi h_s]>
              + int psi h_s <S_{k-1}^{ij}, Q[psi^2 h_s]>
 
+One routine evaluates all four from the path's cached record of h_s, and a
+concavity scan takes f_k, f_k' and f_k'' from one call per s.
+
 The p-Brunn-Minkowski inequality for V_k along geodesics of the 0-sum is
 log-concavity of f_k in s, i.e. H(s) = f_k f_k'' - (f_k')^2 <= 0.  For
 constant psi, f_k(s) = f_k(0) e^{k psi s} exactly (scaling), so H = 0.
@@ -44,6 +47,7 @@ from .bodies import Body, require_smooth
 from .errors import DomainError, PathValidityError
 from .intrinsic import (
     _at_point,
+    _check_finite,
     _check_order,
     _cofactor_batch,
     _curvature,
@@ -62,11 +66,13 @@ POINCARE_SLACK = 1e-9
 
 
 def _jet(f, X: np.ndarray, what: str) -> calculus.Jet:
-    """The exact jet of a field such as a TestFunction; other callables have none."""
+    """The exact jet of a field such as a TestFunction; EvaluationError if not finite."""
     if not callable(getattr(f, "jet", None)):
         raise DomainError(f"{what} needs a field with an exact jet, such as a "
                           f"TestFunction; got {type(f).__name__}")
-    return f.jet(X)
+    jet = f.jet(X)
+    _check_finite("the field or its derivatives", X, jet.value, jet.grad, jet.hess)
+    return jet
 
 
 @dataclass
@@ -77,8 +83,9 @@ class VariationPath:
     new s costs one exp plus product-rule arithmetic, and every Q is
     exact.  Construction verifies that Q[h_s] is positive definite at every
     grid node for s in {-2, -1, 0, 1, 2} (else PathValidityError); a
-    non-finite h_s or Q[h_s] raises EvaluationError.  Node data is cached
-    for s = 0, which fixes the tolerance of a scan, and for the latest s.
+    non-finite psi, h_s or Q[h_s] raises EvaluationError.  The record of h_s
+    (jet, h, Q, S_{k-1}(Q)) is cached for s = 0, which fixes the tolerance
+    of a scan, and for the latest s.
     """
 
     body: Body
@@ -118,30 +125,6 @@ class VariationPath:
             self._cache[key] = data
         return data
 
-    def _cofactors(self, s: float) -> np.ndarray:
-        data = self._node_data(s)
-        if "cof" not in data:
-            if self.k == 1:
-                m, N, _ = data["Q"].shape
-                data["cof"] = np.zeros((m, N, N))
-            else:
-                data["cof"] = _cofactor_batch(data["Q"], self.k - 1)
-        return data["cof"]
-
-    def _q_psih(self, s: float) -> np.ndarray:
-        data = self._node_data(s)
-        if "q_psih" not in data:
-            data["psih"] = self._psi_jet * data["jet"]
-            data["q_psih"] = self._q(data["psih"])
-        return data["q_psih"]
-
-    def _q_psi2h(self, s: float) -> np.ndarray:
-        data = self._node_data(s)
-        if "q_psi2h" not in data:
-            self._q_psih(s)
-            data["q_psi2h"] = self._q(self._psi_jet * data["psih"])
-        return data["q_psi2h"]
-
 
 def _check_s(s: float) -> float:
     if not S_WINDOW[0] <= s <= S_WINDOW[1]:
@@ -149,34 +132,48 @@ def _check_s(s: float) -> float:
     return float(s)
 
 
+def _derivatives(path: VariationPath, s: float, order: int) -> list[float]:
+    """[f_k, f_k', f_k'', f_k'''][:order + 1] at s from one node record.
+
+    T_{k-1}(Q) and Q[psi h_s] are built only for order >= 2, the
+    second-cofactor contraction and Q[psi^2 h_s] only for order 3.  T_0 = 0,
+    so for k = 1 every cofactor term vanishes.
+    """
+    data = path._node_data(_check_s(s))
+    w, psi = path.grid.weights, path._psi_jet.value
+    h, dens, Q = data["h"], data["dens"], data["Q"]
+    out = [float(np.dot(w, h * dens)) / path.k, float(np.dot(w, psi * h * dens))]
+    if order < 2:
+        return out[:order + 1]
+    cof = np.zeros(Q.shape) if path.k == 1 else _cofactor_batch(Q, path.k - 1)
+    psih = path._psi_jet * data["jet"]
+    qdot = path._q(psih)
+    inner1 = np.einsum("mij,mij->m", cof, qdot)
+    out.append(float(np.dot(w, psi * psi * h * dens)) + float(np.dot(w, psi * h * inner1)))
+    if order < 3:
+        return out
+    inner2 = np.einsum("mij,mij->m", _second_cofactor_batch(Q, path.k - 1, qdot), qdot)
+    inner3 = np.einsum("mij,mij->m", cof, path._q(path._psi_jet * psih))
+    out.append(float(np.dot(w, psi ** 3 * h * dens))
+               + 2.0 * float(np.dot(w, psi * psi * h * inner1))
+               + float(np.dot(w, psi * h * inner2))
+               + float(np.dot(w, psi * h * inner3)))
+    return out
+
+
 def f_k(path: VariationPath, s: float) -> float:
     """f_k(s) = (1/k) int h_s S_{k-1}(Q[h_s])."""
-    s = _check_s(s)
-    data = path._node_data(s)
-    w = path.grid.weights
-    return float(np.dot(w, data["h"] * data["dens"])) / path.k
+    return _derivatives(path, s, 0)[0]
 
 
 def f_k_prime(path: VariationPath, s: float) -> float:
     """First s-derivative of f_k; uses d/ds h_s = psi h_s."""
-    s = _check_s(s)
-    data = path._node_data(s)
-    w, psi = path.grid.weights, path._psi_jet.value
-    return float(np.dot(w, psi * data["h"] * data["dens"]))
+    return _derivatives(path, s, 1)[1]
 
 
 def f_k_second(path: VariationPath, s: float) -> float:
     """Second s-derivative of f_k via the first cofactor of S_{k-1}."""
-    s = _check_s(s)
-    data = path._node_data(s)
-    w, psi = path.grid.weights, path._psi_jet.value
-    hd = data["h"]
-    term1 = float(np.dot(w, psi * psi * hd * data["dens"]))
-    cof = path._cofactors(s)
-    qdot = path._q_psih(s)
-    inner = np.einsum("mij,mij->m", cof, qdot)
-    term2 = float(np.dot(w, psi * hd * inner))
-    return term1 + term2
+    return _derivatives(path, s, 2)[2]
 
 
 def f_k_third(path: VariationPath, s: float) -> float:
@@ -186,22 +183,7 @@ def f_k_third(path: VariationPath, s: float) -> float:
     <d/de T_{k-1}(Q + e Qdot), Qdot> with Qdot = Q[psi h_s], computed in
     O(k (n-1)^3) work per node for any dimension.
     """
-    s = _check_s(s)
-    data = path._node_data(s)
-    w, psi = path.grid.weights, path._psi_jet.value
-    hd = data["h"]
-    cof = path._cofactors(s)
-    qdot = path._q_psih(s)
-    inner1 = np.einsum("mij,mij->m", cof, qdot)
-    term1 = float(np.dot(w, psi ** 3 * hd * data["dens"]))
-    term2 = 2.0 * float(np.dot(w, psi * psi * hd * inner1))
-    dcof = _second_cofactor_batch(data["Q"], path.k - 1, qdot)
-    inner2 = np.einsum("mij,mij->m", dcof, qdot)
-    term3 = float(np.dot(w, psi * hd * inner2))
-    qddot = path._q_psi2h(s)
-    inner3 = np.einsum("mij,mij->m", cof, qddot)
-    term4 = float(np.dot(w, psi * hd * inner3))
-    return term1 + term2 + term3 + term4
+    return _derivatives(path, s, 3)[3]
 
 
 @dataclass(frozen=True)
@@ -252,15 +234,8 @@ def concavity_scan(path: VariationPath, s_values=None) -> ConcavityReport:
         raise DomainError("concavity_scan needs at least one s value")
     f0 = f_k(path, 0.0)
     tol = CONCAVITY_TOLERANCE * f0 * f0
-    fs, f1s, f2s, Hs = [], [], [], []
-    for s in s_values:
-        fv = f_k(path, s)
-        f1 = f_k_prime(path, s)
-        f2 = f_k_second(path, s)
-        fs.append(fv)
-        f1s.append(f1)
-        f2s.append(f2)
-        Hs.append(fv * f2 - f1 * f1)
+    fs, f1s, f2s = zip(*(_derivatives(path, s, 2) for s in s_values))
+    Hs = [fv * f2 - f1 * f1 for fv, f1, f2 in zip(fs, f1s, f2s)]
     H = np.asarray(Hs)
     if np.all(H < -tol):
         verdict, violation = "strictly-concave", None
@@ -271,9 +246,9 @@ def concavity_scan(path: VariationPath, s_values=None) -> ConcavityReport:
         violation = s_values[int(np.argmax(H))]
     return ConcavityReport(
         s_values=tuple(s_values),
-        f_values=tuple(fs),
-        fprime_values=tuple(f1s),
-        fsecond_values=tuple(f2s),
+        f_values=fs,
+        fprime_values=f1s,
+        fsecond_values=f2s,
         concavity_values=tuple(Hs),
         tolerance=tol,
         verdict=verdict,
@@ -337,10 +312,13 @@ def poincare_check(psi, grid: SphericalGrid) -> PoincareResult:
     Raises
     ------
     DomainError
-        If psi is not even (checked by sampling antipodes), not
-        zero-mean (|int psi| > 1e-8 * scale) or has no exact jet.
+        If psi has no exact jet, is not even (checked by sampling
+        antipodes) or not zero-mean (|int psi| > 1e-8 * scale).
+    EvaluationError
+        If psi's jet is not finite at some node.
     """
-    vals = np.asarray(psi(grid.nodes), dtype=float)
+    jet = _jet(psi, grid.nodes, "poincare_check")
+    vals = jet.value
     anti = np.asarray(psi(-grid.nodes), dtype=float)
     scale = 1.0 + np.max(np.abs(vals))
     if np.max(np.abs(vals - anti)) > 1e-10 * scale:
@@ -350,8 +328,7 @@ def poincare_check(psi, grid: SphericalGrid) -> PoincareResult:
         raise DomainError("poincare_check requires a zero-mean test function")
     n = grid.dimension
     lhs = float(np.dot(grid.weights, vals * vals))
-    ambient = _jet(psi, grid.nodes, "poincare_check").grad
-    grad = ambient - np.einsum("mi,mi->m", ambient, grid.nodes)[:, None] * grid.nodes
+    grad = jet.grad - np.einsum("mi,mi->m", jet.grad, grid.nodes)[:, None] * grid.nodes
     rhs = float(np.dot(grid.weights, (grad * grad).sum(axis=1))) / (2.0 * n)
     if lhs < 1e-14 * scale * scale and rhs < 1e-14 * scale * scale:
         return PoincareResult(lhs=lhs, rhs=rhs, ratio=0.0, satisfied=True,
@@ -384,7 +361,8 @@ def ibp_check(body: Body, phi, phibar, psi, k: int, grid: SphericalGrid) -> IbpR
     Both sides of the second share one exact contraction
     <S_k^{ij,rs}(Q[h]), Q[phi]_rs>.  Here k indexes S_k directly,
     1 <= k <= n - 1.  Every Q is exact from the jets of the body and of
-    phi, phibar and psi, which must have them.
+    phi, phibar and psi, which must have them; a non-finite jet or Q[h]
+    raises EvaluationError.
     """
     require_smooth(body, "ibp_check")
     _check_order("k", k, 1, grid.dimension - 1)
@@ -445,19 +423,16 @@ def christoffel_residual_grid(body: Body, p: float, k: int, grid: SphericalGrid)
 
 # -- centering -------------------------------------------------------------
 
-def center_test_function(psi, grid: SphericalGrid):
+def center_test_function(psi: TestFunction, grid: SphericalGrid):
     """Subtract the grid mean: returns (psi_bar, mean) with int psi_bar = 0.
 
     The mean uses the grid's own weight sum, so the centered function
     integrates to zero on that grid to rounding accuracy.  Centering shifts
-    f_k along the path by the exact factor e^{-k s mean}.
+    f_k along the path by the exact factor e^{-k s mean}.  psi must be a
+    TestFunction (else DomainError), so psi_bar is one too and keeps its jet.
     """
-    vals = np.asarray(psi(grid.nodes), dtype=float)
-    mean = float(np.dot(grid.weights, vals)) / grid.area
-    if isinstance(psi, TestFunction):
-        return psi.shifted(-mean), mean
-
-    def centered(X):
-        return np.asarray(psi(X), dtype=float) - mean
-
-    return centered, mean
+    if not isinstance(psi, TestFunction):
+        raise DomainError(f"center_test_function needs a TestFunction; "
+                          f"got {type(psi).__name__}")
+    mean = float(np.dot(grid.weights, psi(grid.nodes))) / grid.area
+    return psi.shifted(-mean), mean

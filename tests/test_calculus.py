@@ -130,7 +130,10 @@ def test_path_q_matches_finite_difference_oracle(case):
     n, psi, body, s, j = case
     grid = build_grid(n, 24, "monte-carlo", seed=n)
     path = VariationPath(body, psi, 1, grid)
-    Q = (path._node_data(s)["Q"], path._q_psih(s), path._q_psi2h(s))[j]
+    jet = path._node_data(s)["jet"]
+    for _ in range(j):
+        jet = path._psi_jet * jet
+    Q = path._q(jet)
 
     def field(X):
         return psi(X) ** j * body.support_values(X) * np.exp(s * psi(X))

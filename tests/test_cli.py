@@ -299,6 +299,26 @@ def test_bad_config_value_exits_2(command, key, value, tmp_path, capsys):
     assert f"--config key {key!r}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["ibp-check", "--tol", "nan"],
+    ["ibp-check", "--amplitude", "nan"],
+    ["counterexample", "--p", "nan"],
+    ["concavity", "--config", "CONFIG"],
+], ids=["tol", "amplitude", "p", "config"])
+def test_non_finite_number_exits_2(argv, tmp_path, capsys):
+    # float() and JSON both accept NaN; as a tolerance or amplitude it used to
+    # give a negative verdict (exit 3) and a NaN in the report
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"amplitude": float("nan")}))
+    report = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        main([str(cfg) if a == "CONFIG" else a for a in argv] + ["--json", str(report)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "must be a finite number" in captured.err and captured.out == ""
+    assert not report.exists()
+
+
 def test_config_number_takes_the_flag_type(tmp_path, capsys):
     # a whole JSON number for a float option is stored as the float the flag gives
     cfg = tmp_path / "cfg.json"
@@ -340,6 +360,10 @@ def test_unreadable_config_exits_2(content, tmp_path, capsys):
      "monte-carlo seed must be >= 0"),
     (["christoffel", "--n", "3", "--k", "2", "--p", "0.5", "--body",
       '{"type": "wulff_sampled", "directions": [1, 0, 0], "values": [1]}'], "bad body spec"),
+    # a non-finite size used to print "V_2 = nan" and exit 0
+    (["vk", "--n", "4", "--k", "2", "--body", "box:nan,1,1,1"], "bad body spec"),
+    (["vk", "--n", "4", "--k", "2", "--body", "box:inf,1,1,1"], "bad body spec"),
+    (["vk", "--vk-method", "closed-form", "--body", "ball:nan"], "bad body spec"),
 ])
 def test_bad_spec_exits_1(argv, message, tmp_path, capsys):
     malformed = tmp_path / "malformed.json"

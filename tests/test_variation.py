@@ -32,6 +32,7 @@ from quermass import (
     build_grid,
 )
 from quermass import bodies
+from quermass.calculus import Jet
 
 
 def _centered_quadratic(rng, n, amplitude):
@@ -77,6 +78,22 @@ def test_non_finite_support_raises_evaluation_error(grid3):
         christoffel_residual_grid(body, 0.5, 2, grid3)
     with pytest.raises(EvaluationError):
         christoffel_residual(body, 0.5, 2, grid3.nodes[0])
+
+
+def test_non_finite_psi_raises_evaluation_error(grid3):
+    # a NaN amplitude used to read as "residual above tolerance" in ibp_check
+    # and as "inequality not satisfied" in poincare_check
+    nan_psi = TestFunction.coordinate_harmonic(3).scaled(float("nan"))
+    good = TestFunction.coordinate_harmonic(3).scaled(0.05)
+    with pytest.raises(EvaluationError) as exc_info:
+        poincare_check(nan_psi, grid3)
+    assert exc_info.value.node_index == 0
+    for body, phi, psi in ((Ball(1.0), nan_psi, good), (Ball(1.0), good, nan_psi),
+                           (LogPerturbedBall(nan_psi, 1.0), good, good)):
+        with pytest.raises(EvaluationError):
+            ibp_check(body, phi, good, psi, 1, grid3)
+    with pytest.raises(EvaluationError):
+        VariationPath(Ball(1.0), nan_psi, 2, grid3)
 
 
 # -- values and closed forms ------------------------------------------------
@@ -187,6 +204,30 @@ def test_centering_identity(grid3):
             assert_allclose(
                 f_k(p_cen, s), math.exp(-k * s * m) * f_k(p_raw, s), rtol=1e-9
             )
+
+
+def test_centering_needs_a_test_function(grid3):
+    with pytest.raises(DomainError, match="TestFunction"):
+        center_test_function(lambda X: X[:, 0] ** 2, grid3)
+
+
+def test_k1_derivatives_are_moments_of_h_s(grid3, rng):
+    # f_1 = int h_s is linear in h (T_0 = 0, no cofactor terms), so on the
+    # grid f_1'' = int psi^2 h_s and f_1''' = int psi^3 h_s
+    base = LogPerturbedBall(_centered_quadratic(rng, 3, 0.05), 0.5)
+    psi = _centered_quadratic(rng, 3, 0.05)
+    path = VariationPath(base, psi, 1, grid3)
+    w, vals = grid3.weights, psi(grid3.nodes)
+    s_values = [-1.5, 0.0, 0.7]
+    for s in s_values:
+        h_s = base.support_values(grid3.nodes) * np.exp(s * vals)
+        assert_allclose(f_k_second(path, s), np.dot(w, vals ** 2 * h_s), rtol=1e-13)
+        assert_allclose(f_k_third(path, s), np.dot(w, vals ** 3 * h_s), rtol=1e-13)
+    # the scan's numbers are the public functions' numbers, bit for bit
+    rep = concavity_scan(path, s_values)
+    for i, s in enumerate(s_values):
+        assert (rep.f_values[i], rep.fprime_values[i], rep.fsecond_values[i]) == \
+            (f_k(path, s), f_k_prime(path, s), f_k_second(path, s))
 
 
 def test_epsilon_scaling(grid3):
@@ -315,6 +356,24 @@ def test_poincare_preconditions(grid3):
         poincare_check(lambda X: X[:, 0], grid3)  # odd
     res = poincare_check(TestFunction.constant(3, 0.0), grid3)
     assert res.degenerate and res.satisfied and res.ratio == 0.0
+
+
+class _OddWithJet:
+    """x -> x_1 with its exact jet: a field that reaches the evenness check."""
+
+    def __call__(self, X):
+        return X[:, 0]
+
+    def jet(self, X):
+        m, n = X.shape
+        grad = np.zeros((m, n))
+        grad[:, 0] = 1.0
+        return Jet(X[:, 0], grad, np.zeros((m, n, n)))
+
+
+def test_poincare_rejects_odd_field_with_jet(grid3):
+    with pytest.raises(DomainError, match="even"):
+        poincare_check(_OddWithJet(), grid3)
 
 
 # -- integration by parts ---------------------------------------------------
