@@ -15,7 +15,8 @@ Each option is declared once, in ``_COMMANDS``, which makes its flag
 config file (--config) against the same type or choices.  Explicit flags
 override file values, which override built-in defaults.  Reports are
 written as JSON (--json) carrying the package version, the effective
-configuration and a SHA-256 fingerprint of the quadrature grid.  Every
+configuration, a SHA-256 fingerprint of the quadrature grid and, under
+``results``, the fields of the result record (``dataclasses.asdict``).  Every
 subcommand writes CSV (--out): a header row, then one row per result (a
 table row, an s value, a grid node or the single result).  Runs are
 deterministic for a fixed configuration and seed, producing byte-identical
@@ -38,6 +39,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -151,7 +153,7 @@ def _write_report(path: str | None, command: str, cfg: dict, results: dict,
         fh.write("\n")
 
 
-def _write_csv(path: str | None, rows: list[list] | None) -> None:
+def _write_csv(path: str | None, rows: list[list | tuple] | None) -> None:
     if not path or rows is None:
         return
     with open(path, "w", newline="") as fh:
@@ -164,7 +166,7 @@ class _Outcome(NamedTuple):
     code: int
     results: dict
     grid: SphericalGrid | None = None
-    rows: list[list] | None = None
+    rows: list[list | tuple] | None = None
 
 
 class _UsageError(QuermassError):
@@ -245,20 +247,13 @@ def cmd_vk(cfg: dict) -> _Outcome:
     else:
         grid = _make_grid(cfg)
         result = intrinsic.vk_quadrature(body, k, grid)
-    results = {
-        "value": result.value,
-        "k": result.k,
-        "method": result.method,
-        "error_estimate": result.error_estimate,
-        "q_positive_definite": result.q_positive_definite,
-    }
     print(f"V_{k} = {result.value!r}  ({result.method}, "
           f"error estimate {result.error_estimate:.3e})")
     if not result.q_positive_definite:
         print("warning: Q[h] was not positive definite at some node", file=sys.stderr)
     rows = [["n", "k", "value", "method", "error_estimate"],
             [n, k, result.value, result.method, result.error_estimate]]
-    return _Outcome(_EXIT_OK, results, grid, rows)
+    return _Outcome(_EXIT_OK, asdict(result), grid, rows)
 
 
 def cmd_concavity(cfg: dict) -> _Outcome:
@@ -275,7 +270,10 @@ def cmd_concavity(cfg: dict) -> _Outcome:
     print(f"concavity scan n={n} k={k}: {report.verdict} "
           f"(max H = {max(report.concavity_values):.6e}, tol = {report.tolerance:.3e})")
     code = _EXIT_OK if report.verdict in ("concave", "strictly-concave") else _EXIT_NEGATIVE
-    return _Outcome(code, report.to_json(), grid, report.csv_rows())
+    rows = [["s", "f_k", "f_k_prime", "f_k_second", "H"],
+            *zip(report.s_values, report.f_values, report.fprime_values,
+                 report.fsecond_values, report.concavity_values)]
+    return _Outcome(code, asdict(report), grid, rows)
 
 
 def cmd_thresholds(cfg: dict) -> _Outcome:
@@ -296,7 +294,7 @@ def cmd_thresholds(cfg: dict) -> _Outcome:
 def cmd_counterexample(cfg: dict) -> _Outcome:
     sweep = cfg["sweep"]
     if sweep:
-        cases = [(n, k) for n in range(cfg["n_min"], cfg["n_max"] + 1) for k in range(2, n)]
+        cases = [(row["n"], row["k"]) for row in cx.threshold_table(cfg["n_min"], cfg["n_max"])]
     else:
         cases = [(cfg["n"], cfg["k"])]
     table = [["n", "k", "branch", "pbar", "p", "lhs_bound", "rhs", "margin", "conclusion"]]
@@ -318,7 +316,7 @@ def cmd_counterexample(cfg: dict) -> _Outcome:
                   f"{v.extras['vk_target']!r}; margin on V^(p/k) scale {v.margin:+.6e}")
     # exit 0 only when failure of the inequality is actually certified
     certified = all(v.conclusion == "inequality-fails" for v in verdicts)
-    results = {"verdicts": [v.to_json() for v in verdicts]} if sweep else verdicts[0].to_json()
+    results = {"verdicts": [asdict(v) for v in verdicts]} if sweep else asdict(verdicts[0])
     return _Outcome(_EXIT_OK if certified else _EXIT_NEGATIVE, results, rows=table)
 
 
@@ -341,8 +339,7 @@ def cmd_poincare(cfg: dict) -> _Outcome:
     print(f"poincare n={n}: int psi^2 = {result.lhs:.9e}, "
           f"(1/2n) int |grad|^2 = {result.rhs:.9e}, ratio = {result.ratio:.9f}, "
           f"satisfied = {result.satisfied}")
-    results = {"lhs": result.lhs, "rhs": result.rhs, "ratio": result.ratio,
-               "satisfied": result.satisfied, "degenerate": result.degenerate}
+    results = asdict(result)
     rows = [["n", *results], [n, *results.values()]]
     return _Outcome(_EXIT_OK if result.satisfied else _EXIT_NEGATIVE, results, grid, rows)
 
@@ -367,11 +364,7 @@ def cmd_ibp_check(cfg: dict) -> _Outcome:
     print(f"ibp-check n={n} k={k} seed={cfg['seed']}: "
           f"residuals {result.residual_first:.3e}, {result.residual_second:.3e} "
           f"(tol {cfg['tol']:g}) -> {'ok' if ok else 'FAIL'}")
-    results = {"residual_first": result.residual_first,
-               "residual_second": result.residual_second,
-               "scale_first": result.scale_first,
-               "scale_second": result.scale_second,
-               "tolerance": cfg["tol"]}
+    results = {**asdict(result), "tolerance": cfg["tol"]}
     rows = [["n", "k", "seed", *results], [n, k, cfg["seed"], *results.values()]]
     return _Outcome(_EXIT_OK if ok else _EXIT_NEGATIVE, results, grid, rows)
 
@@ -437,6 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, options) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(parser=sp)  # usage errors found after parsing name the subcommand
         sp.add_argument("--config", help="JSON config file; flags override its values")
         sp.add_argument("--json", help="write a JSON report to this path")
         sp.add_argument("--out", help="write CSV output to this path")
@@ -454,14 +448,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     run, _, options = _COMMANDS[args.command]
     try:
         cfg = _effective_config(args, options)
         outcome = run(cfg)
     except _UsageError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     except QuermassError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -46,7 +46,7 @@ In contrast, for k = 1 the reverse inequality always holds:
 with equality iff one body is {0} or the bodies are dilates.  V_1 is
 (1/kappa_{n-1}) int h, linear in h, so integrating the combination gauge
 (an upper bound for the support of the Wulff shape) bounds the left side
-rigorously from above.
+from above, up to the quadrature error of that integral.
 """
 
 from __future__ import annotations
@@ -184,17 +184,6 @@ class Verdict:
     conclusion: str
     extras: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "tolerance": self.tolerance,
-            "method": self.method,
-            "conclusion": self.conclusion,
-            "extras": dict(self.extras),
-        }
-
 
 def verify_counterexample(n: int, k: int, p: float) -> Verdict:
     """Certify failure of the p-Brunn-Minkowski inequality for V_k at t = 1/2.
@@ -284,10 +273,11 @@ def v1_reverse_check(body0: Body, body1: Body, p: float, t: float, n: int,
 
         V_1((1-t).K_0 +_p t.K_1)^p <= (1-t) V_1(K_0)^p + t V_1(K_1)^p.
 
-    The left side is bounded rigorously from above by integrating the
-    combination gauge:  V_1(K[f]) = (1/kappa_{n-1}) int h_{K[f]} <=
-    (1/kappa_{n-1}) int f,  because the support function of a Wulff shape
-    never exceeds its gauge and V_1 is linear and monotone in h.  Two
+    The left side is bounded from above by integrating the combination
+    gauge:  V_1(K[f]) = (1/kappa_{n-1}) int h_{K[f]} <= (1/kappa_{n-1}) int f,
+    because the support function of a Wulff shape never exceeds its gauge
+    and V_1 is linear and monotone in h.  int f is a quadrature value, so
+    the bound holds up to the quadrature error of int f.  Two
     equality configurations short-circuit to exact values: one body {0}
     (gauge is t^{1/p} h_1, itself a support function) and dilate pairs
     (gauge pointwise proportional to a support function), so the

@@ -280,8 +280,8 @@ def vk_quadrature(body: Body, k: int, grid: SphericalGrid) -> IntrinsicVolumeRes
 def vk_ball(n: int, k: int, radius: float = 1.0) -> IntrinsicVolumeResult:
     """Closed form V_k(R B_n) = binom(n, k) kappa_n R^k / kappa_{n-k}."""
     _check_order("k", k, 0, n)
-    if radius < 0.0:
-        raise DomainError("radius must be non-negative")
+    if not 0.0 <= radius < np.inf:
+        raise DomainError("radius must be finite and non-negative")
     value = math.comb(n, k) * unit_ball_volume(n) * radius ** k / unit_ball_volume(n - k)
     return IntrinsicVolumeResult(value=value, k=k, method="ball-closed-form")
 
@@ -295,8 +295,8 @@ def vk_box(half_lengths, k: int) -> IntrinsicVolumeResult:
     a = [float(v) for v in half_lengths]
     n = len(a)
     _check_order("k", k, 0, n)
-    if any(v < 0.0 for v in a):
-        raise DomainError("box half-lengths must be non-negative")
+    if not all(0.0 <= v < np.inf for v in a):
+        raise DomainError("box half-lengths must be finite and non-negative")
     e = [0.0] * (k + 1)
     e[0] = 1.0
     for v in a:

@@ -199,25 +199,6 @@ class ConcavityReport:
     verdict: str  # strictly-concave | concave | violated
     violation_s: float | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "s_values": list(self.s_values),
-            "f_values": list(self.f_values),
-            "fprime_values": list(self.fprime_values),
-            "fsecond_values": list(self.fsecond_values),
-            "concavity_values": list(self.concavity_values),
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-            "violation_s": self.violation_s,
-        }
-
-    def csv_rows(self) -> list[list]:
-        rows = [["s", "f_k", "f_k_prime", "f_k_second", "H"]]
-        for i, s in enumerate(self.s_values):
-            rows.append([s, self.f_values[i], self.fprime_values[i],
-                         self.fsecond_values[i], self.concavity_values[i]])
-        return rows
-
 
 def concavity_scan(path: VariationPath, s_values=None) -> ConcavityReport:
     """Evaluate H(s) = f_k f_k'' - (f_k')^2 on a grid of s values.

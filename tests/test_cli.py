@@ -66,6 +66,16 @@ def test_vk_quadrature_report(tmp_path, capsys):
     assert len(grid["fingerprint"]) == 64
 
 
+def test_vk_warns_when_q_not_positive_definite(tmp_path, capsys):
+    # at amplitude 0.9 this log-perturbed ball leaves the convex cone (Q[h] indefinite)
+    psi = {"dimension": 3, "amplitude": 0.9, "terms": [[1.0, [4, 0, 0]], [1.0, [0, 4, 0]]]}
+    body = json.dumps({"type": "log_perturbed_ball", "s": 1.0, "psi": psi})
+    report = tmp_path / "vk.json"
+    assert main(["vk", "--n", "3", "--k", "2", "--body", body, "--json", str(report)]) == 0
+    assert capsys.readouterr().err == "warning: Q[h] was not positive definite at some node\n"
+    assert json.loads(report.read_text())["results"]["q_positive_definite"] is False
+
+
 def test_vk_quadrature_rejects_box(capsys):
     rc = main(["vk", "--body", "box:1,1,1", "--vk-method", "quadrature"])
     assert rc == 1
@@ -182,6 +192,17 @@ def test_counterexample_sweep_deterministic(tmp_path, capsys):
     assert lines[0].startswith("n,k,branch,pbar,p,")
     assert len(lines) == 11  # header + sum over n=3..6 of (n-2)
     assert all(line.endswith("inequality-fails") for line in lines[1:])
+
+
+@pytest.mark.parametrize("n_min, n_max", [(9, 3), (1, 2)])
+def test_counterexample_sweep_without_cases_exits_1(n_min, n_max, tmp_path, capsys):
+    # an empty sweep used to certify nothing and still exit 0
+    report, table = tmp_path / "r.json", tmp_path / "r.csv"
+    argv = ["counterexample", "--sweep", "--n-min", str(n_min), "--n-max", str(n_max)]
+    assert main(argv + ["--json", str(report), "--out", str(table)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: need 3 <= n_min <= n_max\n" and captured.out == ""
+    assert not report.exists() and not table.exists()
 
 
 def test_christoffel_csv_one_row_per_node(tmp_path, capsys):
@@ -317,6 +338,19 @@ def test_non_finite_number_exits_2(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "must be a finite number" in captured.err and captured.out == ""
     assert not report.exists()
+
+
+def test_config_usage_error_names_the_subcommand(tmp_path, capsys):
+    # a bad value reads the same whether it comes from a flag or from --config
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"amplitude": float("nan")}))
+    for argv in (["ibp-check", "--amplitude", "nan"], ["ibp-check", "--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: quermass ibp-check ")
+        assert "\nquermass ibp-check: error: " in err
 
 
 def test_config_number_takes_the_flag_type(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import hypothesis.strategies as st
 import numpy as np
@@ -224,7 +225,7 @@ def test_verify_counterexample_large_p_inconclusive():
 
 
 def test_verdict_serialization():
-    doc = verify_counterexample(4, 2, 0.5).to_json()
+    doc = asdict(verify_counterexample(4, 2, 0.5))
     assert doc["conclusion"] == "inequality-fails"
     assert doc["method"] == "enclosing-box"
     assert doc["extras"]["vk_target"] == 4.0
@@ -357,6 +358,19 @@ def test_v1_reverse_strict_for_box_vs_ball():
     assert v.method == "gauge-mean-width-bound"
     assert v.conclusion == "holds"
     assert v.margin > 5e-4
+
+
+def test_v1_reverse_wulff_estimate():
+    # the Wulff shape of a gauge never has support above the gauge, and the
+    # gauge of a dilate pair is itself a support function
+    grid = build_grid(3, 6, "product-angular")
+    v = v1_reverse_check(Ball(1.0), Ball(2.0), 0.5, 0.5, 3, grid, wulff_estimate=True)
+    assert v.method == "dilate-exact"
+    assert_allclose(v.extras["v1_wulff_estimate"], v.lhs, rtol=1e-12)
+    v = v1_reverse_check(Box((1.0, 0.5, 2.0)), Ball(1.0), 0.5, 0.5, 3, grid,
+                         wulff_estimate=True)
+    assert v.method == "gauge-mean-width-bound"
+    assert v.extras["v1_wulff_estimate"] <= v.extras["v1_gauge_bound"] ** 0.5 * (1 + 1e-12)
 
 
 def test_v1_reverse_embedded_cubes(grid4):

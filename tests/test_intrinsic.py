@@ -364,6 +364,15 @@ def test_vk_box_values():
     assert vk_box((1.0, 1.0, 0.0), 2).value == 4.0
 
 
+@pytest.mark.parametrize("size", [math.nan, math.inf, -1.0])
+def test_vk_closed_forms_reject_bad_sizes(size):
+    # a NaN passes a plain `< 0` test and used to give V_k = nan
+    with pytest.raises(DomainError, match="finite and non-negative"):
+        vk_ball(3, 2, size)
+    with pytest.raises(DomainError, match="finite and non-negative"):
+        vk_box([size, 1.0, 1.0], 2)
+
+
 def test_vk_quadrature_ball(grid3, grid4):
     for grid, n in ((grid3, 3), (grid4, 4)):
         for k in range(1, n + 1):

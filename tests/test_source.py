@@ -1,3 +1,4 @@
+import importlib.util
 import pathlib
 import warnings
 
@@ -13,3 +14,19 @@ def test_sources_compile_without_warnings():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             compile(path.read_text(), str(path), "exec")
+
+
+def test_benchmark_span_entry_points_resolve():
+    # the benchmark's traced runs patch these names; a renamed or deleted one
+    # would break them without failing any other test
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.ENTRY_POINTS
+    for target, attr, _ in spans.ENTRY_POINTS:
+        mod_name, _, cls_name = target.partition(":")
+        owner = importlib.import_module(mod_name)
+        if cls_name:
+            owner = getattr(owner, cls_name)
+        assert callable(getattr(owner, attr, None)), f"{target}.{attr}"

@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -279,12 +281,16 @@ def test_scan_violated_for_k1(grid3):
 def test_scan_report_serialization(grid3):
     psi = TestFunction.coordinate_harmonic(3).scaled(0.01)
     rep = concavity_scan(VariationPath(Ball(1.0), psi, 2, grid3))
-    doc = rep.to_json()
+    doc = asdict(rep)
     assert doc["verdict"] == "strictly-concave"
     assert len(doc["s_values"]) == 21
-    rows = rep.csv_rows()
-    assert rows[0] == ["s", "f_k", "f_k_prime", "f_k_second", "H"]
-    assert len(rows) == 22
+    assert json.loads(json.dumps(doc))["f_values"] == list(rep.f_values)
+
+
+def test_s_outside_the_window_is_rejected(grid3):
+    path = VariationPath(Ball(1.0), TestFunction.coordinate_harmonic(3).scaled(0.01), 2, grid3)
+    with pytest.raises(DomainError, match=r"s must lie in \[-2.0, 2.0\], got 2.5"):
+        f_k(path, 2.5)
 
 
 def test_scan_custom_s_values(grid3):
