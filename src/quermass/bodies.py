@@ -25,7 +25,7 @@ import numpy as np
 from .calculus import Jet
 from .errors import DomainError, UnsupportedBodyError
 from .simplex import SLACK, support_lp
-from .sphere import SphericalGrid, TestFunction
+from .sphere import TestFunction
 
 
 class Body:
@@ -83,10 +83,6 @@ class Box(Body):
     def __post_init__(self):
         if not all(0.0 <= a < np.inf for a in self.half_lengths):
             raise DomainError("box half-lengths must be finite and non-negative")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.half_lengths)
 
     def support_values(self, U: np.ndarray) -> np.ndarray:
         a = np.asarray(self.half_lengths, dtype=float)
@@ -217,33 +213,6 @@ def body_from_json(doc: dict) -> Body:
     raise DomainError(f"unknown body type {kind!r}")
 
 
-def _check_unit(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if abs(np.linalg.norm(u) - 1.0) > 1e-10:
-        raise DomainError("direction must be a unit vector")
-    return u
-
-
-def support(body: Body, u: np.ndarray) -> float:
-    """Support function h_K(u) at a unit direction."""
-    u = _check_unit(u)
-    return float(body.support_values(u[None, :])[0])
-
-
-def minkowski_support(body0: Body, body1: Body, alpha: float, beta: float,
-                      u: np.ndarray) -> float:
-    """Support of the Minkowski combination alpha K_0 + beta K_1.
-
-    Support functions are additive and positively homogeneous, so this is
-    alpha h_0(u) + beta h_1(u); alpha, beta must be non-negative.
-    """
-    if alpha < 0.0 or beta < 0.0:
-        raise DomainError("minkowski coefficients must be non-negative")
-    u = _check_unit(u)
-    U = u[None, :]
-    return float(alpha * body0.support_values(U)[0] + beta * body1.support_values(U)[0])
-
-
 @dataclass(frozen=True)
 class PMeanSpec:
     """Parameters of the p-combination (1-t).K_0 +_p t.K_1."""
@@ -297,22 +266,18 @@ def pmean_values(spec: PMeanSpec, U: np.ndarray) -> np.ndarray:
         return np.where(hi > 0.0, np.exp(top + log_s / p), 0.0)
 
 
-def pmean(spec: PMeanSpec, u: np.ndarray) -> float:
-    """Gauge of the p-combination at a single unit direction."""
-    u = _check_unit(u)
-    return float(pmean_values(spec, u[None, :])[0])
+def _check_unit(u: np.ndarray) -> np.ndarray:
+    u = np.asarray(u, dtype=float)
+    if abs(np.linalg.norm(u) - 1.0) > 1e-10:
+        raise DomainError("direction must be a unit vector")
+    return u
 
 
-def _direction_array(dirs) -> np.ndarray:
-    if isinstance(dirs, SphericalGrid):
-        return dirs.nodes
-    return np.asarray(dirs, dtype=float)
-
-
-def wulff_support_upper(dirs, values: np.ndarray, u: np.ndarray):
+def wulff_support_upper(dirs: np.ndarray, values: np.ndarray, u: np.ndarray):
     """Upper bound for the support of the Wulff shape K[f] at direction u.
 
-    Maximizes u.x over the outer polytope {x : x.y_j <= f_j}; the result
+    Maximizes u.x over the outer polytope {x : x.y_j <= f_j}, with the
+    directions y_j the rows of the (m, n) array ``dirs``; the result
     is >= h_{K[f]}(u) and converges to it under grid refinement.  Returns
     (value, x) with x an optimal point of the outer polytope.
 
@@ -323,20 +288,12 @@ def wulff_support_upper(dirs, values: np.ndarray, u: np.ndarray):
     DomainError
         If any gauge value is negative.
     """
-    D = _direction_array(dirs)
+    D = np.asarray(dirs, dtype=float)
     f = np.asarray(values, dtype=float)
     if np.any(f < 0.0):
         raise DomainError("gauge values must be non-negative")
     u = _check_unit(u)
     return support_lp(D, f, u)
-
-
-def wulff_membership(dirs, values: np.ndarray, x: np.ndarray,
-                     tol: float = 1e-12) -> bool:
-    """Whether x lies in the outer polytope {x : x.y_j <= f_j + tol}."""
-    D = _direction_array(dirs)
-    f = np.asarray(values, dtype=float)
-    return bool(np.all(D @ np.asarray(x, dtype=float) <= f + tol))
 
 
 def require_smooth(body: Body, operation: str) -> None:

@@ -26,8 +26,9 @@ Exit codes: 0 success (and affirmative outcome for check-style commands);
 1 runtime error (a bad or unreadable body or psi spec, an unsupported
 operation, any other package error); 2 usage error, including an
 unreadable --config file, an unknown key or bad value in it, a NaN or
-infinite float flag or value, and a grid option the run would ignore (a
-seed on a grid that takes none, any grid option on closed-form vk); 3
+infinite float flag or value, and an option the run would ignore (a seed
+on a grid that takes none, any grid option on closed-form vk, --n or --k
+under counterexample --sweep, --n-min or --n-max without it); 3
 check completed with a negative outcome (violated concavity, unsatisfied
 inequality, residual above tolerance, or a counterexample verdict
 inconsistent with its threshold).
@@ -232,6 +233,13 @@ def _effective_config(args: argparse.Namespace, options: dict[str, _Option]) -> 
 
 # -- subcommands ------------------------------------------------------------
 
+def _reject_unused(cfg: dict, keys, reason: str) -> None:
+    """Usage error naming each of ``keys`` that is set, since the run ignores it."""
+    unused = [f"--{key.replace('_', '-')} {cfg[key]}" for key in keys if cfg[key] is not None]
+    if unused:
+        raise _UsageError(f"{', '.join(unused)} set, but {reason}")
+
+
 def cmd_vk(cfg: dict) -> _Outcome:
     n, k = cfg["n"], cfg["k"]
     body = _parse_body(cfg["body"], n)
@@ -240,9 +248,7 @@ def cmd_vk(cfg: dict) -> _Outcome:
     if method == "auto":
         method = "quadrature" if body.is_smooth else "closed-form"
     if method == "closed-form":
-        unused = [f"--{key.replace('_', '-')} {cfg[key]}" for key in _GRID if cfg[key] is not None]
-        if unused:
-            raise _UsageError(f"{', '.join(unused)} set, but closed-form V_k builds no grid")
+        _reject_unused(cfg, _GRID, "closed-form V_k builds no grid")
         result = intrinsic.vk_closed_form(body, k, n)
     else:
         grid = _make_grid(cfg)
@@ -291,12 +297,20 @@ def cmd_thresholds(cfg: dict) -> _Outcome:
     return _Outcome(_EXIT_OK, {"rows": rows, "count": len(rows)}, rows=table)
 
 
+#: Defaults of the counterexample options that only one mode reads; the
+#: option table leaves them None, so that a setting the run ignores shows.
+_MODE_DEFAULTS = {"n": 4, "k": 2, "n_min": 3, "n_max": 8}
+
+
 def cmd_counterexample(cfg: dict) -> _Outcome:
     sweep = cfg["sweep"]
-    if sweep:
-        cases = [(row["n"], row["k"]) for row in cx.threshold_table(cfg["n_min"], cfg["n_max"])]
-    else:
-        cases = [(cfg["n"], cfg["k"])]
+    _reject_unused(cfg, ("n", "k") if sweep else ("n_min", "n_max"),
+                   "a --sweep runs every n from --n-min to --n-max" if sweep
+                   else "a run without --sweep reads only --n and --k")
+    opt = {key: default if cfg[key] is None else cfg[key]
+           for key, default in _MODE_DEFAULTS.items()}
+    cases = ([(row["n"], row["k"]) for row in cx.threshold_table(opt["n_min"], opt["n_max"])]
+             if sweep else [(opt["n"], opt["k"])])
     table = [["n", "k", "branch", "pbar", "p", "lhs_bound", "rhs", "margin", "conclusion"]]
     verdicts = []
     for n, k in cases:
@@ -399,11 +413,12 @@ _COMMANDS: dict[str, tuple[Callable[[dict], _Outcome], str, dict[str, _Option]]]
         "n_min": _Option(int, 3, "first n"), "n_max": _Option(int, 10, "last n"),
     }),
     "counterexample": (cmd_counterexample, "certify p-Brunn-Minkowski failure for V_k", {
-        "n": _Option(int, 4, "ambient dimension"), "k": _K,
+        "n": _Option(int, None, "ambient dimension of a single run (default 4)"),
+        "k": _Option(int, None, "order k of a single run (default 2)"),
         "p": _Option(float, None, "defaults to pbar/2"),
         "sweep": _Option(bool, False, "every 2 <= k < n for n-min <= n <= n-max"),
-        "n_min": _Option(int, 3, "first n of a sweep"),
-        "n_max": _Option(int, 8, "last n of a sweep"),
+        "n_min": _Option(int, None, "first n of a sweep (default 3)"),
+        "n_max": _Option(int, None, "last n of a sweep (default 8)"),
     }),
     "christoffel": (cmd_christoffel, "Christoffel-Minkowski residual on a grid", {
         "n": _N, "k": _K, "p": _Option(float, 0.5, "exponent p"), "body": _BODY, **_GRID,

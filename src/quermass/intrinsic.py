@@ -45,8 +45,7 @@ from . import calculus
 from .bodies import Ball, Body, Box, EmbeddedCube, require_smooth
 from .errors import DomainError, EvaluationError
 # KAPPA and unit_ball_volume live in sphere and stay importable from here.
-from .sphere import (KAPPA, SphericalGrid, TangentFrame, build_grid,
-                     tangent_frame, unit_ball_volume)
+from .sphere import KAPPA, SphericalGrid, build_grid, unit_ball_volume
 
 
 def _check_order(name: str, value: int, lo: int, hi: int) -> None:
@@ -192,26 +191,6 @@ def _pd_violation(Q: np.ndarray) -> tuple[int, float] | None:
     return None if lo[bad] > 0.0 else (bad, float(lo[bad]))
 
 
-def _at_point(x: np.ndarray, frame: TangentFrame | None):
-    """One direction as a one-row node array and its (1, n-1, n) frames."""
-    x = np.asarray(x, dtype=float)
-    if frame is None:
-        frame = tangent_frame(x)
-    return x[None, :], frame.vectors[None, :, :]
-
-
-def q_matrix(body: Body, x: np.ndarray, frame: TangentFrame | None = None) -> np.ndarray:
-    """Q[h] = (h_ij + h delta_ij) at a unit direction, in the given frame.
-
-    Requires a smooth body with an exact support jet; Q is exact.  The
-    result is frame-covariant: its elementary symmetric functions do not
-    depend on the frame choice.
-    """
-    require_smooth(body, "q_matrix")
-    X, frames = _at_point(x, frame)
-    return calculus.q_from_jet(body.support_jet(X), X, frames)[0]
-
-
 def q_matrix_nodes(body: Body, grid: SphericalGrid) -> np.ndarray:
     """Q[h] at every grid node using the grid's cached frames.
 
@@ -222,18 +201,6 @@ def q_matrix_nodes(body: Body, grid: SphericalGrid) -> np.ndarray:
     Q = calculus.q_from_jet(body.support_jet(grid.nodes), grid.nodes, grid.frames)
     _check_finite("Q[h]", grid.nodes, Q)
     return Q
-
-
-def area_measure_density(body: Body, k: int, x: np.ndarray,
-                         frame: TangentFrame | None = None) -> float:
-    """Density S_{k-1}(Q[h]) of the (k-1)-st area measure at direction x.
-
-    Raises EvaluationError if h or Q[h] is not finite at x.
-    """
-    _check_order("k", k, 1, np.asarray(x).shape[-1])
-    require_smooth(body, "area_measure_density")
-    X, frames = _at_point(x, frame)
-    return float(_curvature(body.support_jet(X), X, frames)[2][0, k - 1])
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ construction and a grid is reproducible from (n, resolution, method, seed).
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -246,31 +245,6 @@ def _householder_frames(nodes: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TangentFrame:
-    """Orthonormal basis of the tangent space of S^{n-1} at ``base_point``."""
-
-    base_point: np.ndarray
-    vectors: np.ndarray  # (n-1, n), rows orthonormal and orthogonal to base_point
-
-
-def tangent_frame(x: np.ndarray) -> TangentFrame:
-    """Deterministic orthonormal tangent frame at a unit vector x.
-
-    Raises
-    ------
-    DomainError
-        If ``|x|`` differs from 1 by more than 1e-10.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DomainError("tangent_frame expects a single vector")
-    if abs(np.linalg.norm(x) - 1.0) > 1e-10:
-        raise DomainError("tangent_frame requires a unit vector")
-    vecs = _householder_frames(x[None, :])[0]
-    return TangentFrame(base_point=x.copy(), vectors=vecs)
-
-
-@dataclass(frozen=True)
 class SphericalGrid:
     """Immutable quadrature grid on S^{n-1} with cached tangent frames."""
 
@@ -301,42 +275,6 @@ class SphericalGrid:
         digest.update(np.ascontiguousarray(self.nodes).tobytes())
         digest.update(np.ascontiguousarray(self.weights).tobytes())
         return digest.hexdigest()
-
-    def to_json(self) -> dict:
-        return {
-            "schema": "quermass.grid/1",
-            "dimension": self.dimension,
-            "resolution": self.resolution,
-            "method": self.method,
-            "seed": self.seed,
-            "nodes": self.nodes.tolist(),
-            "weights": self.weights.tolist(),
-        }
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
-
-    @staticmethod
-    def from_json(doc: dict) -> "SphericalGrid":
-        if doc.get("schema") != "quermass.grid/1":
-            raise ConfigurationError("unrecognized grid document schema")
-        nodes = np.asarray(doc["nodes"], dtype=float)
-        weights = np.asarray(doc["weights"], dtype=float)
-        return SphericalGrid(
-            dimension=int(doc["dimension"]),
-            resolution=int(doc["resolution"]),
-            method=str(doc["method"]),
-            nodes=nodes,
-            weights=weights,
-            frames=_householder_frames(nodes),
-            seed=doc.get("seed"),
-        )
-
-    @staticmethod
-    def load(path) -> "SphericalGrid":
-        with open(path) as fh:
-            return SphericalGrid.from_json(json.load(fh))
 
 
 def build_grid(n: int, resolution: int, method: str, seed: int | None = None) -> SphericalGrid:
@@ -465,10 +403,11 @@ class TestFunction:
                 )
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
+        """Values at the rows of an (m, dimension) array; DomainError for any other shape."""
         X = np.asarray(X, dtype=float)
-        single = X.ndim == 1
-        if single:
-            X = X[None, :]
+        if X.ndim != 2 or X.shape[1] != self.dimension:
+            raise DomainError(f"a test function of dimension {self.dimension} needs an "
+                              f"(m, {self.dimension}) node array, got shape {X.shape}")
         out = np.zeros(X.shape[0])
         for coeff, exps in self.terms:
             term = np.full(X.shape[0], coeff)
@@ -477,15 +416,17 @@ class TestFunction:
                     term = term * X[:, axis] ** e
             out += term
         out *= self.amplitude
-        return out[0] if single else out
+        return out
 
     def jet(self, X: np.ndarray) -> Jet:
         """Exact value, gradient and Hessian on R^n at the rows of X.
 
         Each term c x^e contributes the monomials of its first and second
         partial derivatives; every distinct monomial is evaluated once and
-        the derivative rows are one coefficient matrix product.
+        the derivative rows are one coefficient matrix product.  X is
+        checked as in ``__call__``.
         """
+        value = self(X)
         X = np.asarray(X, dtype=float)
         m, n = X.shape
         rows: list[tuple[int, float, tuple[int, ...]]] = []  # (row, coefficient, exponents)
@@ -508,7 +449,7 @@ class TestFunction:
                 if p:
                     M[i] *= X[:, a] ** p
         D = self.amplitude * (C @ M)
-        return Jet(self(X), D[:n].T, D[n:].T.reshape(m, n, n))
+        return Jet(value, D[:n].T, D[n:].T.reshape(m, n, n))
 
     def scaled(self, factor: float) -> "TestFunction":
         return TestFunction(self.dimension, self.terms, self.amplitude * factor)

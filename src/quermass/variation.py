@@ -46,7 +46,6 @@ from . import calculus
 from .bodies import Body, require_smooth
 from .errors import DomainError, PathValidityError
 from .intrinsic import (
-    _at_point,
     _check_finite,
     _check_order,
     _cofactor_batch,
@@ -371,34 +370,22 @@ def ibp_check(body: Body, phi, phibar, psi, k: int, grid: SphericalGrid) -> IbpR
 
 # -- Christoffel-Minkowski residual ----------------------------------------
 
-def _christoffel(body: Body, p: float, k: int, nodes: np.ndarray,
-                 frames: np.ndarray) -> np.ndarray:
-    """h^{1-p} S_{k-1}(Q[h]) - binom(n-1, k-1) at the rows of nodes."""
+def christoffel_residual_grid(body: Body, p: float, k: int, grid: SphericalGrid):
+    """Residual h^{1-p} S_{k-1}(Q[h]) - binom(n-1, k-1) at every grid node.
+
+    Returns (values, max_abs).  Zero exactly at the unit ball; the scaled
+    ball R B_n gives the constant (R^{k-p} - 1) binom(n-1, k-1).  A
+    non-finite h or Q[h] raises EvaluationError.
+    """
     if not 0.0 <= p < 1.0:
         raise DomainError(f"p must lie in [0, 1), got {p}")
-    n = nodes.shape[-1]
+    n = grid.dimension
     _check_order("k", k, 2, n)
-    require_smooth(body, "christoffel_residual")
-    h, _, S = _curvature(body.support_jet(nodes), nodes, frames)
+    require_smooth(body, "christoffel_residual_grid")
+    h, _, S = _curvature(body.support_jet(grid.nodes), grid.nodes, grid.frames)
     if np.any(h <= 0.0):
         raise DomainError("christoffel residual requires positive support")
-    return h ** (1.0 - p) * S[:, k - 1] - math.comb(n - 1, k - 1)
-
-
-def christoffel_residual(body: Body, p: float, k: int, x: np.ndarray,
-                         frame=None) -> float:
-    """Residual h^{1-p} S_{k-1}(Q[h]) - binom(n-1, k-1) at direction x.
-
-    Zero exactly at the unit ball; the scaled ball R B_n gives the constant
-    (R^{k-p} - 1) binom(n-1, k-1).  A non-finite h or Q[h] raises
-    EvaluationError.
-    """
-    return float(_christoffel(body, p, k, *_at_point(x, frame))[0])
-
-
-def christoffel_residual_grid(body: Body, p: float, k: int, grid: SphericalGrid):
-    """Residual field on all grid nodes; returns (values, max_abs)."""
-    vals = _christoffel(body, p, k, grid.nodes, grid.frames)
+    vals = h ** (1.0 - p) * S[:, k - 1] - math.comb(n - 1, k - 1)
     return vals, float(np.max(np.abs(vals)))
 
 

@@ -205,6 +205,46 @@ def test_counterexample_sweep_without_cases_exits_1(n_min, n_max, tmp_path, caps
     assert not report.exists() and not table.exists()
 
 
+@pytest.mark.parametrize("flags, settings, cases", [
+    (["--sweep", "--n-max", "4"], {"sweep": True, "n_max": 4}, [(3, 2), (4, 2), (4, 3)]),
+    (["--n", "5"], {"n": 5}, [(5, 2)]),
+], ids=["sweep", "single"])
+def test_counterexample_config_records_null_for_unset_options(flags, settings, cases, tmp_path,
+                                                              capsys):
+    # the defaults of n, k, n_min and n_max are applied by the run, not recorded
+    report = tmp_path / "ce.json"
+    assert main(["counterexample", *flags, "--json", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert doc["config"] == {**PINNED_DEFAULTS["counterexample"], **settings}
+    verdicts = doc["results"].get("verdicts", [doc["results"]])
+    assert [(v["extras"]["n"], v["extras"]["k"]) for v in verdicts] == cases
+
+
+@pytest.mark.parametrize("settings, named", [
+    ({"sweep": True, "n": 5}, "--n 5"),
+    ({"sweep": True, "n": 5, "k": 3}, "--n 5, --k 3"),
+    ({"n_min": 4}, "--n-min 4"),
+    ({"n": 5, "n_max": 6}, "--n-max 6"),
+], ids=["sweep-n", "sweep-n-k", "single-n-min", "single-n-max"])
+@pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+def test_counterexample_option_of_other_mode_exits_2(settings, named, by_config, tmp_path,
+                                                     capsys):
+    # a sweep takes its cases from n_min..n_max and a single run from n, k;
+    # the other pair used to be dropped silently and still recorded
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(settings))
+    flags = [["--" + key.replace("_", "-")] + ([] if value is True else [str(value)])
+             for key, value in settings.items()]
+    argv = ["--config", str(cfg)] if by_config else sum(flags, [])
+    report = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["counterexample", *argv, "--json", str(report)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"{named} set" in err and "Traceback" not in err
+    assert not report.exists()
+
+
 def test_christoffel_csv_one_row_per_node(tmp_path, capsys):
     table = tmp_path / "ch.csv"
     report = tmp_path / "ch.json"
@@ -267,8 +307,8 @@ PINNED_DEFAULTS = {
                   "body": "ball:1.0", "s_min": -2.0, "s_max": 2.0, "s_steps": 21,
                   "grid_res": None, "grid_method": None, "seed": None},
     "thresholds": {"n_min": 3, "n_max": 10},
-    "counterexample": {"n": 4, "k": 2, "p": None, "sweep": False,
-                       "n_min": 3, "n_max": 8},
+    "counterexample": {"n": None, "k": None, "p": None, "sweep": False,
+                       "n_min": None, "n_max": None},
     "christoffel": {"n": 3, "k": 2, "p": 0.5, "body": "ball:1.0",
                     "grid_res": None, "grid_method": None, "seed": None},
     "poincare": {"n": 3, "psi": "x1sq", "amplitude": None,
@@ -324,8 +364,9 @@ def test_bad_config_value_exits_2(command, key, value, tmp_path, capsys):
     ["ibp-check", "--tol", "nan"],
     ["ibp-check", "--amplitude", "nan"],
     ["counterexample", "--p", "nan"],
+    ["counterexample", "--p", "abc"],
     ["concavity", "--config", "CONFIG"],
-], ids=["tol", "amplitude", "p", "config"])
+], ids=["tol", "amplitude", "p", "p-text", "config"])
 def test_non_finite_number_exits_2(argv, tmp_path, capsys):
     # float() and JSON both accept NaN; as a tolerance or amplitude it used to
     # give a negative verdict (exit 3) and a NaN in the report
@@ -398,6 +439,19 @@ def test_unreadable_config_exits_2(content, tmp_path, capsys):
     (["vk", "--n", "4", "--k", "2", "--body", "box:nan,1,1,1"], "bad body spec"),
     (["vk", "--n", "4", "--k", "2", "--body", "box:inf,1,1,1"], "bad body spec"),
     (["vk", "--vk-method", "closed-form", "--body", "ball:nan"], "bad body spec"),
+    (["poincare", "--psi", "foo"], "unrecognized psi spec"),
+    # a psi whose dimension is not the run's n used to end in an IndexError,
+    # or, with zero extra exponents, to run on the first coordinates only
+    (["concavity", "--n", "3", "--psi", '{"dimension": 4, "terms": [[1.0, [0, 0, 0, 2]]]}'],
+     "dimension 4 needs an (m, 4) node array, got shape (392, 3)"),
+    (["concavity", "--n", "3", "--psi", '{"dimension": 4, "terms": [[1.0, [2, 0, 0, 0]]]}'],
+     "dimension 4 needs an (m, 4) node array"),
+    (["poincare", "--n", "3", "--psi", '{"dimension": 4, "terms": [[1.0, [0, 0, 0, 2]]]}'],
+     "dimension 4 needs an (m, 4) node array"),
+    (["vk", "--n", "3", "--k", "2", "--body", '{"type": "log_perturbed_ball", "s": 1.0, '
+      '"psi": {"dimension": 2, "terms": [[1.0, [2, 0]]]}}'], "dimension 2 needs an (m, 2)"),
+    (["christoffel", "--n", "4", "--body", '{"type": "log_perturbed_ball", "s": 1.0, '
+      '"psi": {"dimension": 3, "terms": [[1.0, [2, 0, 0]]]}}'], "dimension 3 needs an (m, 3)"),
 ])
 def test_bad_spec_exits_1(argv, message, tmp_path, capsys):
     malformed = tmp_path / "malformed.json"

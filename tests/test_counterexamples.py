@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import asdict
 
 import hypothesis.strategies as st
@@ -222,6 +223,17 @@ def test_verify_counterexample_large_p_inconclusive():
     v = verify_counterexample(4, 2, 0.9)
     assert v.conclusion == "inconclusive"
     assert v.margin < 0.0
+
+
+@pytest.mark.parametrize("check, message", [
+    (lambda: verify_counterexample(4, 2, 0.0), "(0, 1]"),
+    (lambda: verify_counterexample(4, 2, 1.5), "(0, 1]"),
+    (lambda: v1_reverse_check(Ball(1.0), Ball(2.0), -0.1, 0.5, 3), "p must lie in [0, 1]"),
+    (lambda: v1_reverse_check(Ball(1.0), Ball(2.0), 0.5, 1.5, 3), "t must lie in [0, 1]"),
+], ids=["verify-p-zero", "verify-p-above-1", "reverse-p", "reverse-t"])
+def test_p_and_t_outside_their_range_rejected(check, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        check()
 
 
 def test_verdict_serialization():

@@ -18,20 +18,17 @@ from quermass import (
     TestFunction,
     UnsupportedBodyError,
     WulffSampled,
-    area_measure_density,
     cofactor,
     elem_sym,
-    q_matrix,
     q_matrix_nodes,
     second_cofactor,
-    tangent_frame,
     unit_ball_volume,
     vk_ball,
     vk_box,
     vk_closed_form,
     vk_quadrature,
 )
-from quermass import intrinsic, sphere
+from quermass import calculus, intrinsic, sphere
 from quermass.intrinsic import _pd_violation, _second_cofactor_batch
 
 
@@ -127,6 +124,8 @@ def test_elem_sym_identity_exact():
 def test_elem_sym_input_validation():
     with pytest.raises(DomainError):
         elem_sym(1, np.array([[0.0, 1.0], [0.0, 0.0]]))  # not symmetric
+    with pytest.raises(DomainError, match="square"):
+        elem_sym(1, np.ones((2, 3)))
     with pytest.raises(DomainError):
         elem_sym(3, np.eye(2))  # r out of range
     with pytest.raises(DomainError):
@@ -304,9 +303,6 @@ def test_second_cofactor_contraction_matches_fd(rng):
 
 
 def test_q_matrix_ball(grid3):
-    x = grid3.nodes[5]
-    Q = q_matrix(Ball(2.0), x)
-    assert_allclose(Q, 2.0 * np.eye(2), atol=1e-9)
     Q_all = q_matrix_nodes(Ball(2.0), grid3)
     assert Q_all.shape == (grid3.node_count, 2, 2)
     assert_allclose(Q_all, np.broadcast_to(2.0 * np.eye(2), Q_all.shape), atol=1e-9)
@@ -317,30 +313,27 @@ def test_q_matrix_requires_smooth(grid3):
         q_matrix_nodes(Box((1.0, 1.0, 1.0)), grid3)
 
 
-def test_elem_syms_frame_invariant(rng):
+def test_elem_syms_frame_invariant(rng, grid3):
     # S_r(Q) must not depend on the orthonormal tangent basis used
     body = LogPerturbedBall(TestFunction.coordinate_harmonic(3), 0.3)
-    x = np.array([0.6, 0.48, 0.64])
-    x /= np.linalg.norm(x)
-    fr = tangent_frame(x)
-    Q1 = q_matrix(body, x, fr)
+    X, frames = grid3.nodes, grid3.frames
+    jet = body.support_jet(X)
+    Q1 = calculus.q_from_jet(jet, X, frames)
 
     theta = rng.uniform(0.0, 2.0 * np.pi)
     R = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-    from quermass.sphere import TangentFrame
-
-    fr2 = TangentFrame(x, R @ fr.vectors)
-    Q2 = q_matrix(body, x, fr2)
-    for r in (1, 2):
-        assert_allclose(elem_sym(r, Q1), elem_sym(r, Q2), rtol=1e-9)
+    Q2 = calculus.q_from_jet(jet, X, R @ frames)
+    assert_allclose(intrinsic._elem_sym_all_batch(Q1), intrinsic._elem_sym_all_batch(Q2),
+                    rtol=1e-9)
 
 
-def test_area_measure_density_ball():
-    # S_{k-1}(R I_{n-1}) = binom(n-1, k-1) R^{k-1}
-    x = np.array([0.0, 1.0, 0.0, 0.0])
-    for k in (1, 2, 3, 4):
-        val = area_measure_density(Ball(1.0), k, x)
-        assert_allclose(val, float(math.comb(3, k - 1)), rtol=1e-8)
+def test_area_measure_density_ball(grid4):
+    # S_{k-1}(R I_{n-1}) = binom(n-1, k-1) R^{k-1} at every node
+    X = grid4.nodes
+    for R in (1.0, 1.5):
+        _, _, S = intrinsic._curvature(Ball(R).support_jet(X), X, grid4.frames)
+        for k in (1, 2, 3, 4):
+            assert_allclose(S[:, k - 1], math.comb(3, k - 1) * R ** (k - 1), rtol=1e-8)
 
 
 def test_vk_ball_closed_form():
@@ -428,8 +421,9 @@ def test_non_finite_support_raises_evaluation_error(grid3):
             vk_quadrature(body, 2, grid3)
         assert exc_info.value.node_index == node
         assert_allclose(exc_info.value.point, grid3.nodes[node], rtol=0, atol=0)
-    with pytest.raises(EvaluationError):
-        area_measure_density(nan_body, 2, grid3.nodes[3])
+    with pytest.raises(EvaluationError) as exc_info:
+        q_matrix_nodes(nan_body, grid3)
+    assert exc_info.value.node_index == 0
 
 
 def _known_spectrum_batch(rng, N, m):

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import pathlib
 import warnings
@@ -5,6 +6,7 @@ import warnings
 import quermass
 
 SOURCES = sorted(pathlib.Path(quermass.__file__).parent.glob("*.py"))
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 
 def test_sources_compile_without_warnings():
@@ -19,7 +21,7 @@ def test_sources_compile_without_warnings():
 def test_benchmark_span_entry_points_resolve():
     # the benchmark's traced runs patch these names; a renamed or deleted one
     # would break them without failing any other test
-    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    path = BENCH / "spans.py"
     spec = importlib.util.spec_from_file_location("bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
@@ -30,3 +32,43 @@ def test_benchmark_span_entry_points_resolve():
         if cls_name:
             owner = getattr(owner, cls_name)
         assert callable(getattr(owner, attr, None)), f"{target}.{attr}"
+
+
+#: Names that the benchmark binds to the package (``q``, ``quermass``,
+#: ``self.q``) or to its counterexamples module (``cx``).
+_BENCH_ROOTS = {"q": (), "quermass": (), "cx": ("counterexamples",)}
+
+
+def _package_chain(node: ast.Attribute):
+    """(attribute, ...) from the package for a chain rooted at a bench root, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    parts.reverse()
+    if isinstance(node, ast.Name) and node.id == "self" and parts[:1] == ["q"]:
+        return tuple(parts[1:])
+    if isinstance(node, ast.Name) and node.id in _BENCH_ROOTS:
+        return _BENCH_ROOTS[node.id] + tuple(parts)
+    return None
+
+
+def test_benchmark_package_names_resolve():
+    # the benchmark calls the package through these attribute chains; a
+    # deleted or renamed name would fail only a benchmark run
+    chains = set()
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inner = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and id(node) not in inner:
+                chain = _package_chain(node)
+                if chain:
+                    chains.add(chain)
+    assert ("wulff_support_upper",) in chains and ("TestFunction", "quadratic") in chains
+    importlib.import_module("quermass.cli")  # launch.py calls quermass.cli.main
+    for chain in sorted(chains):
+        owner = quermass
+        for attr in chain:
+            assert hasattr(owner, attr), "quermass." + ".".join(chain)
+            owner = getattr(owner, attr)

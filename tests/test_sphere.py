@@ -15,12 +15,10 @@ from quermass import (
     ConfigurationError,
     DomainError,
     EvaluationError,
-    SphericalGrid,
     TestFunction,
     build_grid,
     integrate,
     surface_area,
-    tangent_frame,
 )
 from quermass.sphere import GRID_METHODS, REFERENCE_RESOLUTION, _jacobi_rule
 
@@ -31,6 +29,8 @@ def test_surface_area_values():
     assert_allclose(surface_area(3), 4 * math.pi, rtol=1e-15)
     assert_allclose(surface_area(4), 2 * math.pi**2, rtol=1e-15)
     assert_allclose(surface_area(5), 8 * math.pi**2 / 3, rtol=1e-15)
+    with pytest.raises(DomainError):
+        surface_area(0)
 
 
 @pytest.mark.parametrize("n,res", [(2, 10), (3, 6), (4, 5), (5, 4), (6, 3)])
@@ -147,16 +147,6 @@ def test_frames_orthonormal(n, res):
         assert_allclose(F[i] @ x, 0.0, atol=2e-15)
 
 
-def test_tangent_frame_single():
-    x = np.array([0.0, 0.0, 1.0])
-    fr = tangent_frame(x)
-    assert fr.vectors.shape == (2, 3)
-    assert_allclose(fr.vectors @ x, 0.0, atol=1e-15)
-    assert_allclose(fr.vectors @ fr.vectors.T, np.eye(2), atol=1e-15)
-    with pytest.raises(DomainError):
-        tangent_frame(np.array([0.0, 0.0, 2.0]))
-
-
 @pytest.mark.parametrize("n", range(2, 7))
 def test_jacobi_rule_matches_scipy(n):
     # Golub-Welsch against scipy's rule for the polar weight (1-t^2)^((n-3)/2);
@@ -181,23 +171,20 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
-def test_grid_fingerprint_and_json_roundtrip(tmp_path, grid3):
+def test_grid_fingerprint_and_json_roundtrip(grid3):
     fp = grid3.fingerprint()
     assert isinstance(fp, str) and len(fp) == 64
-    # deterministic rebuild gives the same fingerprint
-    g_again = build_grid(3, REFERENCE_RESOLUTION[3], "product-angular")
-    assert g_again.fingerprint() == fp
     assert build_grid(3, 6, "product-angular").fingerprint() != fp
 
-    path = tmp_path / "grid.json"
-    grid3.save(path)
-    loaded = SphericalGrid.load(path)
-    assert loaded.fingerprint() == fp
-    assert np.array_equal(loaded.nodes, grid3.nodes)
-    assert np.array_equal(loaded.weights, grid3.weights)
-    assert np.array_equal(loaded.frames, grid3.frames)
-    assert loaded.method == grid3.method
-    assert loaded.resolution == grid3.resolution
+    # a report records (n, resolution, method, seed); rebuilding from those
+    # four values, read back from JSON, gives the same grid bit for bit
+    doc = json.loads(json.dumps({"n": grid3.dimension, "resolution": grid3.resolution,
+                                 "method": grid3.method, "seed": grid3.seed}))
+    again = build_grid(**doc)
+    assert again.fingerprint() == fp
+    assert np.array_equal(again.nodes, grid3.nodes)
+    assert np.array_equal(again.weights, grid3.weights)
+    assert np.array_equal(again.frames, grid3.frames)
 
 
 def test_grid_arrays_read_only(grid3):
@@ -232,6 +219,26 @@ def test_test_function_evenness_enforced():
         TestFunction(3, (((1.0, (1, 0, 0)),)), 1.0)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: TestFunction(3, ((1.0, (2, 0)),)), "length must equal the dimension"),
+    (lambda: TestFunction(3, ((1.0, (4, -2, 0)),)), "non-negative"),
+    (lambda: TestFunction.quadratic(np.array([[1.0, 0.5], [0.0, 1.0]])), "symmetric matrix"),
+], ids=["exponent-length", "negative-exponent", "asymmetric-quadratic"])
+def test_test_function_rejects_malformed_terms(make, message):
+    with pytest.raises(DomainError, match=message):
+        make()
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (5, 2), (3,), (2, 5, 3)])
+@pytest.mark.parametrize("method", ["__call__", "jet"])
+def test_test_function_rejects_nodes_of_other_dimension(shape, method):
+    # a psi of dimension 3 used to index past the nodes' last axis or to
+    # read only their first 3 coordinates
+    psi = TestFunction.quadratic(np.diag([1.0, 0.0, -1.0]), constant=0.5)
+    with pytest.raises(DomainError, match=r"\(m, 3\) node array"):
+        getattr(psi, method)(np.ones(shape))
+
+
 def test_test_function_constructors(grid3):
     n = 3
     harm = TestFunction.coordinate_harmonic(n)
@@ -260,6 +267,8 @@ def test_test_function_scaled_shifted(grid3):
     X = grid3.nodes
     assert_allclose(harm.scaled(0.25)(X), 0.25 * harm(X), atol=1e-15)
     assert_allclose(harm.shifted(-0.1)(X), harm(X) - 0.1, atol=1e-15)
+    # at amplitude 0 the shift is the whole function
+    assert_allclose(harm.scaled(0.0).shifted(0.3)(X), 0.3, atol=1e-15)
 
 
 def test_test_function_json_roundtrip():

@@ -21,7 +21,6 @@ from quermass import (
     ball_fk_prime,
     ball_fk_second,
     center_test_function,
-    christoffel_residual,
     christoffel_residual_grid,
     concavity_scan,
     f_k,
@@ -76,10 +75,9 @@ def test_non_finite_support_raises_evaluation_error(grid3):
         VariationPath(body, psi, 2, grid3)
     assert exc_info.value.node_index == 0
     assert_allclose(exc_info.value.point, grid3.nodes[0], rtol=0, atol=0)
-    with pytest.raises(EvaluationError):
+    with pytest.raises(EvaluationError) as exc_info:
         christoffel_residual_grid(body, 0.5, 2, grid3)
-    with pytest.raises(EvaluationError):
-        christoffel_residual(body, 0.5, 2, grid3.nodes[0])
+    assert exc_info.value.node_index == 0
 
 
 def test_non_finite_psi_raises_evaluation_error(grid3):
@@ -420,8 +418,7 @@ def test_christoffel_scaled_ball_closed_form(grid3):
     expected = (R ** (k - p) - 1.0) * math.comb(2, k - 1)
     vals, max_abs = christoffel_residual_grid(Ball(R), p, k, grid3)
     assert_allclose(vals, expected, rtol=1e-8)
-    x = np.array([0.0, 0.0, 1.0])
-    assert_allclose(christoffel_residual(Ball(R), p, k, x), expected, rtol=1e-8)
+    assert_allclose(max_abs, abs(expected), rtol=1e-8)
 
 
 def test_christoffel_perturbed_ball_scales_linearly(grid3):
@@ -439,15 +436,14 @@ def test_christoffel_rejects_non_smooth_body_before_any_lp(grid3, monkeypatch):
 
     monkeypatch.setattr(bodies, "support_lp", no_lp)
     body = WulffSampled(grid3.nodes, np.ones(grid3.node_count))
-    with pytest.raises(UnsupportedBodyError):
+    with pytest.raises(UnsupportedBodyError, match="christoffel_residual_grid"):
         christoffel_residual_grid(body, 0.5, 2, grid3)
-    with pytest.raises(UnsupportedBodyError):
-        christoffel_residual(body, 0.5, 2, grid3.nodes[0])
 
 
 def test_christoffel_domain(grid3):
-    x = np.array([0.0, 0.0, 1.0])
     with pytest.raises(DomainError):
-        christoffel_residual(Ball(1.0), 1.0, 2, x)  # p must be < 1
+        christoffel_residual_grid(Ball(1.0), 1.0, 2, grid3)  # p must be < 1
     with pytest.raises(DomainError):
-        christoffel_residual(Ball(1.0), 0.5, 1, x)  # k must be >= 2
+        christoffel_residual_grid(Ball(1.0), 0.5, 1, grid3)  # k must be >= 2
+    with pytest.raises(DomainError, match="positive support"):
+        christoffel_residual_grid(Ball(0.0), 0.5, 2, grid3)
