@@ -46,9 +46,6 @@ class Body:
         raise DomainError(f"{type(self).__name__} has no exact support jet, so Q[h] "
                           "is not available for it")
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Ball(Body):
@@ -70,13 +67,14 @@ class Ball(Body):
         m, n = U.shape
         return Jet(self.support_values(U), np.zeros((m, n)), np.zeros((m, n, n)))
 
-    def to_json(self) -> dict:
-        return {"type": "ball", "radius": self.radius}
-
 
 @dataclass(frozen=True)
 class Box(Body):
-    """Origin-symmetric axis-aligned box prod_i [-a_i, a_i]."""
+    """Origin-symmetric axis-aligned box prod_i [-a_i, a_i].
+
+    Zero half-lengths are allowed, so a lower-dimensional box, such as a
+    cube spanning a coordinate subspace (``coordinate_cube``), is a Box too.
+    """
 
     half_lengths: tuple[float, ...]
 
@@ -88,34 +86,19 @@ class Box(Body):
         a = np.asarray(self.half_lengths, dtype=float)
         return np.abs(U) @ a
 
-    def to_json(self) -> dict:
-        return {"type": "box", "half_lengths": list(self.half_lengths)}
 
+def coordinate_cube(n: int, indices) -> Box:
+    """The cube of side 2 spanning coordinates ``indices`` of R^n, as a Box.
 
-@dataclass(frozen=True)
-class EmbeddedCube(Body):
-    """Cube of side 2 spanning a coordinate subspace of R^n.
-
-    The cube is prod [-1, 1] over the active indices and {0} elsewhere;
-    support is sum of |u_i| over active indices.
+    It is prod [-1, 1] over the indices and {0} on the other coordinates,
+    so its support is the sum of |u_i| over the indices.
     """
-
-    dimension: int
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(i < 0 or i >= self.dimension for i in self.indices):
-            raise DomainError("embedded cube indices out of range")
-        if len(set(self.indices)) != len(self.indices):
-            raise DomainError("embedded cube indices must be distinct")
-
-    def support_values(self, U: np.ndarray) -> np.ndarray:
-        idx = list(self.indices)
-        return np.abs(U[:, idx]).sum(axis=1)
-
-    def to_json(self) -> dict:
-        return {"type": "embedded_cube", "dimension": self.dimension,
-                "indices": list(self.indices)}
+    indices = tuple(indices)
+    if any(i < 0 or i >= n for i in indices):
+        raise DomainError("embedded cube indices out of range")
+    if len(set(indices)) != len(indices):
+        raise DomainError("embedded cube indices must be distinct")
+    return Box(tuple(float(i in indices) for i in range(n)))
 
 
 @dataclass(frozen=True)
@@ -138,8 +121,21 @@ class LogPerturbedBall(Body):
         """The extension e^{s psi(y)} with psi's polynomial continued to R^n."""
         return self.psi.jet(U).scaled(self.s).exp()
 
-    def to_json(self) -> dict:
-        return {"type": "log_perturbed_ball", "s": self.s, "psi": self.psi.to_json()}
+
+def _check_gauge(directions, values) -> tuple[np.ndarray, np.ndarray]:
+    """(D, f) as float arrays: D an (m, n) array, f of shape (m,), both
+    finite and f non-negative, else DomainError."""
+    D = np.asarray(directions, dtype=float)
+    f = np.asarray(values, dtype=float)
+    if D.ndim != 2:
+        raise DomainError(f"directions must be an (m, n) array, got shape {D.shape}")
+    if f.shape != D.shape[:1]:
+        raise DomainError(f"values must have shape ({D.shape[0]},), got {f.shape}")
+    if not (np.all(np.isfinite(D)) and np.all(np.isfinite(f))):
+        raise DomainError("directions and gauge values must be finite")
+    if np.any(f < 0.0):
+        raise DomainError("gauge values must be non-negative")
+    return D, f
 
 
 @dataclass(frozen=True)
@@ -162,16 +158,7 @@ class WulffSampled(Body):
     values: np.ndarray
 
     def __post_init__(self):
-        D = np.asarray(self.directions, dtype=float)
-        f = np.asarray(self.values, dtype=float)
-        if D.ndim != 2:
-            raise DomainError(f"directions must be an (m, n) array, got shape {D.shape}")
-        if f.shape != D.shape[:1]:
-            raise DomainError(f"values must have shape ({D.shape[0]},), got {f.shape}")
-        if not (np.all(np.isfinite(D)) and np.all(np.isfinite(f))):
-            raise DomainError("directions and gauge values must be finite")
-        if np.any(f < 0.0):
-            raise DomainError("gauge values must be non-negative")
+        _check_gauge(self.directions, self.values)
 
     def support_values(self, U: np.ndarray) -> np.ndarray:
         D = np.asarray(self.directions, dtype=float)
@@ -191,11 +178,6 @@ class WulffSampled(Body):
             tight |= D @ x >= f - SLACK * (1.0 + f)
         return out
 
-    def to_json(self) -> dict:
-        return {"type": "wulff_sampled",
-                "directions": np.asarray(self.directions).tolist(),
-                "values": np.asarray(self.values).tolist()}
-
 
 def body_from_json(doc: dict) -> Body:
     kind = doc.get("type")
@@ -204,12 +186,9 @@ def body_from_json(doc: dict) -> Body:
     if kind == "box":
         return Box(tuple(float(a) for a in doc["half_lengths"]))
     if kind == "embedded_cube":
-        return EmbeddedCube(int(doc["dimension"]), tuple(int(i) for i in doc["indices"]))
+        return coordinate_cube(int(doc["dimension"]), (int(i) for i in doc["indices"]))
     if kind == "log_perturbed_ball":
         return LogPerturbedBall(TestFunction.from_json(doc["psi"]), float(doc["s"]))
-    if kind == "wulff_sampled":
-        return WulffSampled(np.asarray(doc["directions"], dtype=float),
-                            np.asarray(doc["values"], dtype=float))
     raise DomainError(f"unknown body type {kind!r}")
 
 
@@ -266,13 +245,6 @@ def pmean_values(spec: PMeanSpec, U: np.ndarray) -> np.ndarray:
         return np.where(hi > 0.0, np.exp(top + log_s / p), 0.0)
 
 
-def _check_unit(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if abs(np.linalg.norm(u) - 1.0) > 1e-10:
-        raise DomainError("direction must be a unit vector")
-    return u
-
-
 def wulff_support_upper(dirs: np.ndarray, values: np.ndarray, u: np.ndarray):
     """Upper bound for the support of the Wulff shape K[f] at direction u.
 
@@ -286,13 +258,14 @@ def wulff_support_upper(dirs: np.ndarray, values: np.ndarray, u: np.ndarray):
     WulffUnboundedError
         If the sampled directions fail to positively span; refine the grid.
     DomainError
-        If any gauge value is negative.
+        If the directions and gauge values fail ``_check_gauge``, or u is
+        not a finite unit vector of length n.
     """
-    D = np.asarray(dirs, dtype=float)
-    f = np.asarray(values, dtype=float)
-    if np.any(f < 0.0):
-        raise DomainError("gauge values must be non-negative")
-    u = _check_unit(u)
+    D, f = _check_gauge(dirs, values)
+    u = np.asarray(u, dtype=float)
+    # written so that a NaN norm fails the test
+    if u.shape != D.shape[1:] or not abs(np.linalg.norm(u) - 1.0) <= 1e-10:
+        raise DomainError(f"direction must be a finite unit vector of length {D.shape[1]}")
     return support_lp(D, f, u)
 
 

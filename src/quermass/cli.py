@@ -82,7 +82,7 @@ def _parse_body(spec: str, n: int) -> bodies_mod.Body:
         if name == "box":
             return bodies_mod.Box(tuple(float(v) for v in arg.split(",")))
         if name == "cube":
-            return bodies_mod.EmbeddedCube(n, tuple(int(v) for v in arg.split(",")))
+            return bodies_mod.coordinate_cube(n, (int(v) for v in arg.split(",")))
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise _spec_error("body", spec, exc) from None
     raise QuermassError(f"unrecognized body spec {spec!r}")

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bodies import Body, Box, EmbeddedCube, PMeanSpec, WulffSampled, pmean_values
+from .bodies import Body, Box, PMeanSpec, WulffSampled, coordinate_cube, pmean_values
 from .errors import DomainError
 from .intrinsic import unit_ball_volume, vk_box, vk_closed_form
 from .sphere import REFERENCE_RESOLUTION, SphericalGrid, build_grid
@@ -74,12 +74,10 @@ def _check_nk(n: int, k: int) -> None:
         raise DomainError(f"order k must satisfy 2 <= k <= n-1, got k={k}")
 
 
-def cube_pair(n: int, k: int) -> tuple[EmbeddedCube, EmbeddedCube]:
+def cube_pair(n: int, k: int) -> tuple[Box, Box]:
     """The two k-cubes: K_0 on the last k coordinates, K_1 on the first k."""
     _check_nk(n, k)
-    K0 = EmbeddedCube(n, tuple(range(n - k, n)))
-    K1 = EmbeddedCube(n, tuple(range(k)))
-    return K0, K1
+    return coordinate_cube(n, range(n - k, n)), coordinate_cube(n, range(k))
 
 
 def branch(n: int, k: int) -> str:
@@ -291,10 +289,7 @@ def v1_reverse_check(body0: Body, body1: Body, p: float, t: float, n: int,
     ``grid=None`` picks a product-angular grid for 3 <= n <= 6 (finer for
     kinked bodies); other n raise ``DomainError`` and need an explicit grid.
     """
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p must lie in [0, 1], got {p}")
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"t must lie in [0, 1], got {t}")
+    spec = PMeanSpec(p, t, body0, body1)
     v0 = vk_closed_form(body0, 1, n).value
     v1 = vk_closed_form(body1, 1, n).value
     if p == 0.0:
@@ -310,7 +305,6 @@ def v1_reverse_check(body0: Body, body1: Body, p: float, t: float, n: int,
         smooth = getattr(body0, "is_smooth", False) and getattr(body1, "is_smooth", False)
         res = REFERENCE_RESOLUTION[n] if smooth else kinked_res[n]
         grid = build_grid(n, res, "product-angular")
-    spec = PMeanSpec(p, t, body0, body1)
     gauge = pmean_values(spec, grid.nodes)
     kappa = unit_ball_volume(n - 1)
     mean_width_bound = float(np.dot(grid.weights, gauge)) / kappa

@@ -29,9 +29,10 @@ densities S_{k-1}(Q[h]) and the intrinsic volumes
     V_k(K) = (1 / (k kappa_{n-k})) int_{S^{n-1}} h S_{k-1}(Q[h]) dx,
 
 normalized so that V_k of the unit ball is binom(n,k) kappa_n/kappa_{n-k}
-and V_k of a box with half-lengths a_i is 2^k e_k(a_1..a_n).  V_k, f_k
-and the Christoffel-Minkowski residual all take h, Q[h] and S_r(Q[h]) from
-``_curvature`` and decide Q[h] > 0 with ``_pd_violation``.
+and V_k of a box with half-lengths a_i is 2^k e_k(a_1..a_n).  V_k, f_k,
+the integration-by-parts check and the Christoffel-Minkowski residual all
+take h, Q[h] and S_r(Q[h]) from ``_curvature``; V_k and f_k decide
+Q[h] > 0 with ``_pd_violation``.
 """
 
 from __future__ import annotations
@@ -42,10 +43,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus
-from .bodies import Ball, Body, Box, EmbeddedCube, require_smooth
+from .bodies import Ball, Body, Box, require_smooth
 from .errors import DomainError, EvaluationError
-# KAPPA and unit_ball_volume live in sphere and stay importable from here.
-from .sphere import KAPPA, SphericalGrid, build_grid, unit_ball_volume
+# unit_ball_volume lives in sphere and stays importable from here.
+from .sphere import SphericalGrid, build_grid, unit_ball_volume
 
 
 def _check_order(name: str, value: int, lo: int, hi: int) -> None:
@@ -191,18 +192,6 @@ def _pd_violation(Q: np.ndarray) -> tuple[int, float] | None:
     return None if lo[bad] > 0.0 else (bad, float(lo[bad]))
 
 
-def q_matrix_nodes(body: Body, grid: SphericalGrid) -> np.ndarray:
-    """Q[h] at every grid node using the grid's cached frames.
-
-    Shape (m, n-1, n-1), exact from the body's support jet; EvaluationError
-    if an entry is not finite.
-    """
-    require_smooth(body, "q_matrix_nodes")
-    Q = calculus.q_from_jet(body.support_jet(grid.nodes), grid.nodes, grid.frames)
-    _check_finite("Q[h]", grid.nodes, Q)
-    return Q
-
-
 @dataclass(frozen=True)
 class IntrinsicVolumeResult:
     """Value of an intrinsic volume with provenance and error metadata."""
@@ -273,11 +262,10 @@ def vk_box(half_lengths, k: int) -> IntrinsicVolumeResult:
 
 
 def vk_closed_form(body: Body, k: int, n: int | None = None) -> IntrinsicVolumeResult:
-    """V_k of a body with a closed form: a Ball, a Box or an EmbeddedCube.
+    """V_k of a body with a closed form: a Ball or a Box.
 
-    A Ball carries no ambient dimension, so ``n`` is required for it; an
-    EmbeddedCube is the box with half-lengths 1 on its indices and 0 on the
-    other coordinates of its own dimension.  Other bodies raise DomainError.
+    A Ball carries no ambient dimension, so ``n`` is required for it; a Box
+    has its own.  Other bodies raise DomainError.
     """
     if isinstance(body, Ball):
         if n is None:
@@ -285,6 +273,4 @@ def vk_closed_form(body: Body, k: int, n: int | None = None) -> IntrinsicVolumeR
         return vk_ball(n, k, body.radius)
     if isinstance(body, Box):
         return vk_box(body.half_lengths, k)
-    if isinstance(body, EmbeddedCube):
-        return vk_box([float(i in body.indices) for i in range(body.dimension)], k)
     raise DomainError(f"no closed-form V_k for {type(body).__name__}; use quadrature")

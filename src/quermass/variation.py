@@ -52,7 +52,6 @@ from .intrinsic import (
     _curvature,
     _pd_violation,
     _second_cofactor_batch,
-    q_matrix_nodes,
 )
 from .sphere import SphericalGrid, TestFunction, integrate, surface_area
 
@@ -347,7 +346,7 @@ def ibp_check(body: Body, phi, phibar, psi, k: int, grid: SphericalGrid) -> IbpR
     require_smooth(body, "ibp_check")
     _check_order("k", k, 1, grid.dimension - 1)
     w, nodes, frames = grid.weights, grid.nodes, grid.frames
-    Qh = q_matrix_nodes(body, grid)
+    _, Qh, _ = _curvature(body.support_jet(nodes), nodes, frames)
     cof = _cofactor_batch(Qh, k)
     jphi, jphibar, jpsi = (_jet(f, nodes, "ibp_check") for f in (phi, phibar, psi))
     qphi, qphibar, qpsi = (calculus.q_from_jet(j, nodes, frames) for j in (jphi, jphibar, jpsi))

@@ -30,7 +30,6 @@ from quermass import (
     ibp_check,
     pmean_values,
     poincare_check,
-    threshold_table,
     unit_ball_volume,
     upper_bound_vk_kp,
     v1_reverse_check,

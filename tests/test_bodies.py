@@ -11,7 +11,6 @@ from quermass import (
     Ball,
     Box,
     DomainError,
-    EmbeddedCube,
     LogPerturbedBall,
     PMeanSpec,
     TestFunction,
@@ -21,7 +20,7 @@ from quermass import (
     pmean_values,
     wulff_support_upper,
 )
-from quermass.bodies import require_smooth
+from quermass.bodies import coordinate_cube, require_smooth
 
 
 def _unit(v):
@@ -40,7 +39,7 @@ def test_support_values():
     assert h[0] == 1.0
     assert_allclose(h[1], (1.0 * 1 + 2.0 * 2 + 0.5 * 2) / 3.0, rtol=1e-15)
 
-    h = EmbeddedCube(3, (0, 2)).support_values(U)
+    h = coordinate_cube(3, (0, 2)).support_values(U)
     assert h[0] == 1.0 and h[2] == 0.0
     assert_allclose(h[1], (1.0 + 2.0) / 3.0, rtol=1e-15)
 
@@ -54,17 +53,17 @@ def test_body_validation():
         Ball(-1.0)
     with pytest.raises(DomainError):
         Box((1.0, -2.0))
-    with pytest.raises(DomainError):
-        EmbeddedCube(3, (0, 5))
-    with pytest.raises(DomainError):
-        EmbeddedCube(3, (1, 1))
+    with pytest.raises(DomainError, match="out of range"):
+        coordinate_cube(3, (0, 5))
+    with pytest.raises(DomainError, match="must be distinct"):
+        coordinate_cube(3, (1, 1))
 
 
 def test_smoothness_flags():
     assert Ball(1.0).is_smooth
     assert LogPerturbedBall(TestFunction.constant(3, 0.0), 1.0).is_smooth
     assert not Box((1.0, 1.0)).is_smooth
-    assert not EmbeddedCube(3, (0,)).is_smooth
+    assert not coordinate_cube(3, (0,)).is_smooth
     require_smooth(Ball(1.0), "test")
     with pytest.raises(UnsupportedBodyError):
         require_smooth(Box((1.0, 1.0)), "test")
@@ -82,8 +81,8 @@ def test_pmean_spec_validation():
 
 def test_pmean_endpoints_and_zero_convention(grid3):
     U = grid3.nodes
-    cube0 = EmbeddedCube(3, (1, 2))
-    cube1 = EmbeddedCube(3, (0, 1))
+    cube0 = coordinate_cube(3, (1, 2))
+    cube1 = coordinate_cube(3, (0, 1))
     h0 = cube0.support_values(U)
     h1 = cube1.support_values(U)
 
@@ -209,10 +208,31 @@ def test_wulff_sampled_body(grid3):
     (np.eye(3), np.ones((3, 1)), "shape (3,)"),
     (np.eye(3), [1.0, np.nan, 1.0], "finite"),
     ([[1.0, 0.0, np.inf], [0.0, 1.0, 0.0]], [1.0, 1.0], "finite"),
+    (np.eye(3), [1.0, np.inf, 1.0], "finite"),
 ])
 def test_wulff_sampled_rejects_malformed_input(directions, values, message):
+    # the body and the LP entry share one gauge check; a NaN or infinite
+    # gauge used to reach the LP and return a NaN or infinite support
+    D, f = np.asarray(directions, dtype=float), np.asarray(values, dtype=float)
     with pytest.raises(DomainError, match=re.escape(message)):
-        WulffSampled(np.asarray(directions, dtype=float), np.asarray(values, dtype=float))
+        WulffSampled(D, f)
+    with pytest.raises(DomainError, match=re.escape(message)):
+        wulff_support_upper(D, f, np.array([1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("u", [
+    [np.nan, 0.0, 0.0],
+    [np.inf, 0.0, 0.0],
+    [1.0, 0.0],
+    [0.0, 0.0, 0.0, 1.0],
+    [[1.0, 0.0, 0.0]],
+], ids=["nan", "inf", "short", "long", "2-d"])
+def test_wulff_support_upper_rejects_bad_direction(u):
+    # a NaN u used to pass the unit check and end in a bare ValueError, and
+    # a u of the wrong length in a bare numpy error
+    dirs = np.vstack([np.eye(3), -np.eye(3)])
+    with pytest.raises(DomainError, match="finite unit vector of length 3"):
+        wulff_support_upper(dirs, np.ones(6), np.array(u))
 
 
 def test_inclusion_chain_of_wulff_gauges(grid3, rng):
@@ -235,22 +255,26 @@ def test_inclusion_chain_of_wulff_gauges(grid3, rng):
         assert np.all(U @ x <= g1 + 1e-9)
 
 
-def test_body_json_roundtrip():
-    bodies = [
-        Ball(1.25),
-        Box((1.0, 2.0, 0.5)),
-        EmbeddedCube(4, (0, 1)),
-        LogPerturbedBall(TestFunction.coordinate_harmonic(3), 0.2),
-        WulffSampled(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4)),
+def test_body_from_json_literals():
+    # the JSON body types the CLI reads
+    psi = TestFunction.coordinate_harmonic(3)
+    cases = [
+        ({"type": "ball", "radius": 1.25}, Ball(1.25)),
+        ({"type": "box", "half_lengths": [1, 2, 0.5]}, Box((1.0, 2.0, 0.5))),
+        ({"type": "embedded_cube", "dimension": 4, "indices": [0, 1]}, Box((1.0, 1.0, 0.0, 0.0))),
+        ({"type": "log_perturbed_ball", "s": 0.2, "psi": psi.to_json()},
+         LogPerturbedBall(psi, 0.2)),
     ]
     U3 = np.array([_unit([1.0, -0.3, 0.4])])
-    for body in bodies:
-        again = body_from_json(body.to_json())
-        assert type(again) is type(body)
-        if isinstance(body, (Box, WulffSampled)) or (
-            isinstance(body, EmbeddedCube) and body.dimension != 3
-        ):
-            continue
-        assert_allclose(again.support_values(U3), body.support_values(U3), rtol=1e-15)
-    with pytest.raises(DomainError):
-        body_from_json({"type": "dodecahedron"})
+    for doc, body in cases:
+        parsed = body_from_json(doc)
+        assert type(parsed) is type(body)
+        if isinstance(body, Box):
+            assert parsed == body
+        else:
+            assert_allclose(parsed.support_values(U3), body.support_values(U3), rtol=1e-15)
+    with pytest.raises(DomainError, match="out of range"):
+        body_from_json({"type": "embedded_cube", "dimension": 3, "indices": [0, 3]})
+    for kind in ("dodecahedron", "wulff_sampled"):
+        with pytest.raises(DomainError, match=f"unknown body type '{kind}'"):
+            body_from_json({"type": kind, "directions": [[1.0]], "values": [1.0]})

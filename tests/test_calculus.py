@@ -17,12 +17,11 @@ from quermass import (
     ibp_check,
     integrate,
     poincare_check,
-    q_matrix_nodes,
-    spherical_gradient,
-    spherical_laplacian,
     tangent_hessian,
+    vk_quadrature,
 )
-from quermass.calculus import q_from_jet
+from quermass.calculus import q_from_jet, spherical_gradient, spherical_laplacian
+from quermass.intrinsic import _curvature
 
 
 def _support_field(body):
@@ -146,7 +145,8 @@ def test_ball_q_is_radius_times_identity_exactly(grid3, grid5):
     for grid in (grid3, grid5):
         N = grid.dimension - 1
         for R in (1.0, 2.5, 0.3):
-            Q = q_matrix_nodes(Ball(R), grid)
+            _, Q, _ = _curvature(Ball(R).support_jet(grid.nodes), grid.nodes, grid.frames)
+            assert Q.shape == (grid.node_count, N, N)
             assert_allclose(Q, np.broadcast_to(R * np.eye(N), Q.shape), rtol=0, atol=1e-15)
 
 
@@ -205,7 +205,7 @@ def test_fields_without_a_jet_raise_domain_error(grid3):
     with pytest.raises(DomainError):
         VariationPath(SmoothWithoutJet(), psi, 2, grid3)
     with pytest.raises(DomainError):
-        q_matrix_nodes(SmoothWithoutJet(), grid3)
+        vk_quadrature(SmoothWithoutJet(), 2, grid3)
     with pytest.raises(DomainError):
         ibp_check(Ball(1.0), psi, field, psi, 1, grid3)
     with pytest.raises(DomainError):

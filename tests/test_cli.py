@@ -2,7 +2,6 @@ import csv
 import json
 import math
 
-import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
@@ -433,8 +432,10 @@ def test_unreadable_config_exits_2(content, tmp_path, capsys):
     (["ibp-check", "--seed", "-1"], "--seed must be >= 0"),
     (["vk", "--grid-method", "monte-carlo", "--grid-res", "100", "--seed", "-2"],
      "monte-carlo seed must be >= 0"),
+    # a Wulff shape of sampled gauge values is no JSON body type: no subcommand can use one
     (["christoffel", "--n", "3", "--k", "2", "--p", "0.5", "--body",
-      '{"type": "wulff_sampled", "directions": [1, 0, 0], "values": [1]}'], "bad body spec"),
+      '{"type": "wulff_sampled", "directions": [[1, 0, 0]], "values": [1]}'],
+     "unknown body type 'wulff_sampled'"),
     # a non-finite size used to print "V_2 = nan" and exit 0
     (["vk", "--n", "4", "--k", "2", "--body", "box:nan,1,1,1"], "bad body spec"),
     (["vk", "--n", "4", "--k", "2", "--body", "box:inf,1,1,1"], "bad body spec"),
@@ -452,6 +453,8 @@ def test_unreadable_config_exits_2(content, tmp_path, capsys):
       '"psi": {"dimension": 2, "terms": [[1.0, [2, 0]]]}}'], "dimension 2 needs an (m, 2)"),
     (["christoffel", "--n", "4", "--body", '{"type": "log_perturbed_ball", "s": 1.0, '
       '"psi": {"dimension": 3, "terms": [[1.0, [2, 0, 0]]]}}'], "dimension 3 needs an (m, 3)"),
+    (["vk", "--n", "4", "--body", "cube:0,5"], "bad body spec"),
+    (["vk", "--n", "4", "--body", "cube:1,1"], "bad body spec"),
 ])
 def test_bad_spec_exits_1(argv, message, tmp_path, capsys):
     malformed = tmp_path / "malformed.json"

@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
 import quermass.counterexamples as cx
+from quermass.bodies import coordinate_cube
 from quermass import (
     Ball,
     Box,
     DomainError,
-    EmbeddedCube,
     PMeanSpec,
     WulffSampled,
     build_grid,
@@ -34,8 +34,8 @@ from quermass import (
 
 def test_cube_pair_geometry():
     K0, K1 = cube_pair(5, 2)
-    assert K0.indices == (3, 4)
-    assert K1.indices == (0, 1)
+    assert K0 == Box((0.0, 0.0, 0.0, 1.0, 1.0))
+    assert K1 == Box((1.0, 1.0, 0.0, 0.0, 0.0))
     e1 = np.zeros(5)
     e1[0] = 1.0
     assert K1.support_values(e1[None, :])[0] == 1.0
@@ -305,7 +305,7 @@ def test_exact_v1_values():
     assert_allclose(vk_ball(3, 1, 1.0).value, 4.0, rtol=1e-15)
     assert_allclose(v1(Ball(1.0), n=3), 4.0, rtol=1e-15)
     assert_allclose(v1(Ball(2.0), n=4), 2.0 * unit_ball_ratio(4), rtol=1e-12)
-    assert v1(EmbeddedCube(5, (0, 1))) == 4.0
+    assert v1(coordinate_cube(5, (0, 1))) == 4.0
     assert v1(Box((1.0, 1.0, 1.0))) == 6.0
     assert v1(Box((0.5, 2.0))) == 5.0
     with pytest.raises(DomainError):

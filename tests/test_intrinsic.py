@@ -11,16 +11,13 @@ from numpy.testing import assert_allclose
 from quermass import (
     Ball,
     Body,
-    Box,
     DomainError,
     EvaluationError,
     LogPerturbedBall,
     TestFunction,
-    UnsupportedBodyError,
     WulffSampled,
     cofactor,
     elem_sym,
-    q_matrix_nodes,
     second_cofactor,
     unit_ball_volume,
     vk_ball,
@@ -88,9 +85,9 @@ def test_unit_ball_volume_values():
 
 
 def test_one_kappa_table():
-    # intrinsic re-exports the sphere table; surface areas use it too
+    # intrinsic re-exports the sphere's unit_ball_volume; surface areas use
+    # the same table
     assert intrinsic.unit_ball_volume is sphere.unit_ball_volume
-    assert intrinsic.KAPPA is sphere.KAPPA
     for n in range(1, 17):
         assert sphere.surface_area(n) == n * sphere.KAPPA[n]
 
@@ -302,17 +299,6 @@ def test_second_cofactor_contraction_matches_fd(rng):
         assert_allclose(lhs, fd, rtol=1e-4, atol=1e-6)
 
 
-def test_q_matrix_ball(grid3):
-    Q_all = q_matrix_nodes(Ball(2.0), grid3)
-    assert Q_all.shape == (grid3.node_count, 2, 2)
-    assert_allclose(Q_all, np.broadcast_to(2.0 * np.eye(2), Q_all.shape), atol=1e-9)
-
-
-def test_q_matrix_requires_smooth(grid3):
-    with pytest.raises(UnsupportedBodyError):
-        q_matrix_nodes(Box((1.0, 1.0, 1.0)), grid3)
-
-
 def test_elem_syms_frame_invariant(rng, grid3):
     # S_r(Q) must not depend on the orthonormal tangent basis used
     body = LogPerturbedBall(TestFunction.coordinate_harmonic(3), 0.3)
@@ -422,7 +408,7 @@ def test_non_finite_support_raises_evaluation_error(grid3):
         assert exc_info.value.node_index == node
         assert_allclose(exc_info.value.point, grid3.nodes[node], rtol=0, atol=0)
     with pytest.raises(EvaluationError) as exc_info:
-        q_matrix_nodes(nan_body, grid3)
+        intrinsic._curvature(nan_body.support_jet(grid3.nodes), grid3.nodes, grid3.frames)
     assert exc_info.value.node_index == 0
 
 

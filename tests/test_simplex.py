@@ -7,13 +7,13 @@ from numpy.testing import assert_allclose
 from quermass import (
     Ball,
     Box,
-    EmbeddedCube,
     PMeanSpec,
     WulffSampled,
     WulffUnboundedError,
     build_grid,
     pmean_values,
 )
+from quermass.bodies import coordinate_cube
 from quermass.simplex import _dense_lp, support_lp
 
 
@@ -108,7 +108,7 @@ _LP_GRIDS = {n: build_grid(n, res, "product-angular") for n, res in ((3, 14), (4
 
 def _cubes(n, k):
     # the k-cubes of cube_pair, for any 1 <= k < n
-    return EmbeddedCube(n, tuple(range(n - k, n))), EmbeddedCube(n, tuple(range(k)))
+    return coordinate_cube(n, range(n - k, n)), coordinate_cube(n, range(k))
 
 
 @st.composite

@@ -6,6 +6,7 @@ import warnings
 import quermass
 
 SOURCES = sorted(pathlib.Path(quermass.__file__).parent.glob("*.py"))
+TESTS = sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 
@@ -16,6 +17,40 @@ def test_sources_compile_without_warnings():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             compile(path.read_text(), str(path), "exec")
+
+
+def _unused_imports(path: pathlib.Path) -> list[str]:
+    """Names that a module imports and never reads.
+
+    In a package ``__init__`` an import counts as used only if ``__all__``
+    lists it, since re-exporting is its one job there.
+    """
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    if path.name == "__init__.py":
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used = {elt.value for elt in node.value.elts}
+    else:
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in sorted(imported.items())
+            if name not in used]
+
+
+def test_no_unused_imports():
+    # no linter is a dependency, so the check is a plain AST scan
+    assert TESTS and pathlib.Path(__file__).resolve() in TESTS
+    unused = [entry for path in SOURCES + TESTS for entry in _unused_imports(path)]
+    assert not unused, unused
 
 
 def test_benchmark_span_entry_points_resolve():

@@ -395,6 +395,28 @@ def test_ibp_residuals_small(grid3, rng):
             assert res.scale_first > 0.0
 
 
+def test_ibp_residuals_are_quadrature_error():
+    # the inputs of round 35 of the benchmark's identities workload at seed 101
+    # (n = 5, k = 4), whose second residual, 1.16e-6 on the resolution-7 grid,
+    # is above the benchmark's 1e-6 bound: refining the grid drives both
+    # residuals to zero, so they are quadrature error and not a program fault
+    rng = np.random.default_rng([101, 35])
+
+    def quadratic():
+        M = rng.standard_normal((5, 5))
+        return TestFunction.quadratic((M + M.T) / 2.0, constant=rng.standard_normal(),
+                                      amplitude=0.1)
+
+    base = LogPerturbedBall(quadratic(), 0.5)
+    phi, phibar, psi = quadratic(), quadratic(), quadratic()
+    res = [ibp_check(base, phi, phibar, psi, 4, build_grid(5, r, "product-angular"))
+           for r in (7, 9, 11)]
+    second = [r.residual_second for r in res]
+    assert second[1] <= second[0] / 100.0 and second[2] <= second[1] / 100.0
+    first = [r.residual_first for r in res]
+    assert first[1] < first[0] and first[2] <= first[1] / 100.0
+
+
 def test_ibp_k_range(grid3):
     psi = TestFunction.coordinate_harmonic(3).scaled(0.05)
     with pytest.raises(DomainError):
