@@ -299,6 +299,13 @@ def test_second_cofactor_contraction_matches_fd(rng):
         assert_allclose(lhs, fd, rtol=1e-4, atol=1e-6)
 
 
+def test_q_matrix_ball(grid3):
+    X = grid3.nodes
+    _, Q_all, _ = intrinsic._curvature(Ball(2.0).support_jet(X), X, grid3.frames)
+    assert Q_all.shape == (grid3.node_count, 2, 2)
+    assert_allclose(Q_all, np.broadcast_to(2.0 * np.eye(2), Q_all.shape), atol=1e-9)
+
+
 def test_elem_syms_frame_invariant(rng, grid3):
     # S_r(Q) must not depend on the orthonormal tangent basis used
     body = LogPerturbedBall(TestFunction.coordinate_harmonic(3), 0.3)
