@@ -1,16 +1,14 @@
 """Calculus for scalar fields on the sphere: exact jets and the finite-difference oracle.
 
-A field f defined on S^{n-1} extends to R^n minus the origin either
-1-homogeneously, F(y) = |y| f(y/|y|), or 0-homogeneously, f(y/|y|).  For a
-support function h the matrix
+A field f defined on S^{n-1} extends 1-homogeneously to R^n minus the
+origin, F(y) = |y| f(y/|y|).  For a support function h the matrix
 
     Q[h]_ij = e_i^T (Hess F) e_j = h_ij + h delta_ij
 
 in any orthonormal tangent frame {e_i} carries the curvature data used by
 the curvature-integral machinery: its elementary symmetric functions are
-the area-measure densities.  The spherical gradient of f is the tangential
-projection of the gradient of the 0-homogeneous extension, and the
-spherical Laplacian satisfies  Delta f = tr Q[f] - (n-1) f.
+the area-measure densities.  The spherical Laplacian satisfies
+Delta f = tr Q[f] - (n-1) f.
 
 Every field the package evaluates is P exp(R) for polynomials P and R, so
 its value, gradient and Hessian on R^n (its ``Jet``) are exact.  For any
@@ -19,14 +17,13 @@ smooth extension g of f to R^n, with E the (n-1) x n frame at x,
     Q[f] = E (Hess g) E^T + (g - x . grad g) I,
 
 which ``q_from_jet`` evaluates; the program computes every Q, spherical
-gradient and Laplacian this way.
+gradient (the tangential part of grad g) and Laplacian this way.
 
-``tangent_hessian``, ``spherical_gradient`` and ``spherical_laplacian``
-are the generic tool for an arbitrary callable and the test oracle for
-the exact route.  They difference the field: second derivatives are
-central differences at steps (d, 2d) combined by Richardson
-extrapolation, which cancels the O(d^2) truncation term.  With the
-default step the per-entry error is ~1e-9 for O(1)-smooth fields:
+``tangent_hessian`` is the test oracle for the exact route, and the
+generic tool for an arbitrary callable.  It differences the field: second
+derivatives are central differences at steps (d, 2d) combined by
+Richardson extrapolation, which cancels the O(d^2) truncation term.  With
+the default step the per-entry error is ~1e-9 for O(1)-smooth fields:
 truncation after extrapolation is ~4 d^4 |f^(6)|/360 and rounding is
 ~4 eps/d^2.
 """
@@ -41,9 +38,6 @@ import numpy as np
 #: Richardson extrapolation, truncation (~d^4) and rounding (~eps/d^2) are
 #: both near 1e-9 for fields with derivatives of order unity.
 HESSIAN_STEP = 2e-3
-
-#: Default step for first differences (gradient); error ~ eps/d + d^2/6.
-GRADIENT_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -97,17 +91,6 @@ def extension_deg1(f):
         Y = np.asarray(Y, dtype=float)
         norms = np.linalg.norm(Y, axis=-1)
         return norms * np.asarray(f(Y / norms[..., None]), dtype=float)
-
-    return F
-
-
-def extension_deg0(f):
-    """0-homogeneous extension: y -> f(y/|y|)."""
-
-    def F(Y):
-        Y = np.asarray(Y, dtype=float)
-        norms = np.linalg.norm(Y, axis=-1)
-        return np.asarray(f(Y / norms[..., None]), dtype=float)
 
     return F
 
@@ -175,34 +158,3 @@ def tangent_hessian(f, nodes, frames, step: float = HESSIAN_STEP):
     err = np.max(np.abs(Q1 - Q2), axis=(1, 2)) / 3.0
     Q = (4.0 * Q1 - Q2) / 3.0
     return Q, err
-
-
-def spherical_gradient(f, nodes, step: float = GRADIENT_STEP):
-    """Tangential gradient of f at each node, shape (m, n).
-
-    Central differences of the 0-homogeneous extension along the ambient
-    axes, projected onto the tangent space.
-    """
-    F = extension_deg0(f)
-    nodes = np.asarray(nodes, dtype=float)
-    m, n = nodes.shape
-    pieces = []
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = step
-        pieces.append(nodes + e)
-        pieces.append(nodes - e)
-    vals = np.asarray(F(np.concatenate(pieces, axis=0)), dtype=float).reshape(2 * n, m)
-    grad = np.empty((m, n))
-    for a in range(n):
-        grad[:, a] = (vals[2 * a] - vals[2 * a + 1]) / (2.0 * step)
-    grad -= np.einsum("ma,ma->m", grad, nodes)[:, None] * nodes
-    return grad
-
-
-def spherical_laplacian(f, nodes, frames, step: float = HESSIAN_STEP):
-    """Laplace-Beltrami of f at each node via Delta f = tr Q[f] - (n-1) f."""
-    n = nodes.shape[1]
-    Q, _ = tangent_hessian(f, nodes, frames, step=step)
-    f0 = np.asarray(f(nodes), dtype=float)
-    return np.einsum("mii->m", Q) - (n - 1) * f0

@@ -9,9 +9,9 @@ a coordinate direction +-e_i is
     1         if both do (overlap block, k > n/2),
     0         if neither (gap block, k < n/2),
 
-and K_p is the axis-aligned box with those half-lengths (see
-``enclosing_box``).  Bounding V_k of the box by a per-branch closed form
-and setting it equal to 2^k gives the threshold
+and K_p is exactly the axis-aligned box B_p with those half-lengths (see
+``enclosing_box``), so V_k(K_p) = V_k(B_p).  Bounding V_k(B_p) by a
+per-branch closed form and setting it equal to 2^k gives the threshold
 
     pbar_{n,k} =
       k / log2 binom(2k, k)                          if 2k <= n      (low)
@@ -23,10 +23,11 @@ for the inequality
 
     V_k((1-t).K_0 +_p t.K_1)^{p/k} >= (1-t) V_k(K_0)^{p/k} + t V_k(K_1)^{p/k}
 
-at t = 1/2.  Since V_k(K_p) = V_k(box), comparing V_k(box) with 2^k
+at t = 1/2.  Since V_k(K_p) = V_k(B_p), comparing V_k(B_p) with 2^k
 decides the cube pair exactly, up to rounding; what is certified is
-failure wherever V_k(box) < 2^k.  On the low and middle branches the
-closed form bounds V_k(box) from above, so the pair fails for every
+failure wherever V_k(B_p) < 2^k.  The report keeps the name
+``vk_upper_bound`` for this exact value.  On the low and middle branches
+the closed form bounds V_k(B_p) from above, so the pair fails for every
 p < pbar.  On the high branch it does not.  For k = n - 1 the box gives
 V_{n-1} = 2^{n-1} (2h + (n-2) h^2) with h = 2^{-1/p}, so the pair fails
 exactly for h < 1/(sqrt(n-1) + 1), i.e. below p* = 1/log2(sqrt(n-1) + 1),
@@ -90,14 +91,14 @@ def branch(n: int, k: int) -> str:
     return "high"
 
 
-def _branch_constants(n: int, k: int) -> tuple[float, int]:
-    """(C, e) of the branch: the box bound is 2^k C 2^{-e/p}, so pbar = e / log2 C."""
+def _branch_constants(n: int, k: int) -> tuple[int, int]:
+    """(C, e) of the branch: the closed form is 2^k C 2^{-e/p}, so pbar = e / log2 C."""
     b = branch(n, k)
     if b == "low":
         return math.comb(2 * k, k), k
     if b == "middle":
         return sum(math.comb(2 * (n - k), i) for i in range(1, k + 1)), 1
-    return 2.0 ** (2 * (n - k)) - 1.0, 1
+    return 4 ** (n - k) - 1, 1
 
 
 def threshold_pbar(n: int, k: int) -> float:
@@ -114,54 +115,21 @@ def threshold_pbar(n: int, k: int) -> float:
 def enclosing_box(n: int, k: int, p: float) -> Box:
     """The axis-aligned box B_p, which equals K_p = (1/2).K_0 +_p (1/2).K_1.
 
-    The half-lengths a_i are the gauge g of K_p at +-e_i.  K_p lies in B_p
-    because a Wulff shape lies in every half-space {x.v <= g(v)}.  B_p lies
-    in K_p because g >= h_{B_p} everywhere: for 0 < p <= 1 the p-mean M_p
-    is concave and 1-homogeneous, hence superadditive, so splitting
-    h_0(u) and h_1(u) over the overlap, single and gap blocks gives
-    g(u) >= sum_overlap |u_i| + 2^{-1/p} sum_single |u_i| = h_{B_p}(u).
-    So g = h_{B_p}, and K_p = B_p exactly.
+    The half-length on coordinate i is the gauge g of K_p at +-e_i, the
+    p-mean M_p(a_i, b_i; 1/2) = ((a_i + b_i)/2)^{1/p} of the cubes'
+    half-lengths a_i, b_i in {0, 1}: 0, 2^{-1/p} or 1 as zero, one or both
+    cubes cover i.  K_p lies in B_p because a Wulff shape lies in every
+    half-space {x.v <= g(v)}.  B_p lies in K_p because g >= h_{B_p}
+    everywhere: for 0 < p <= 1, M_p is concave and 1-homogeneous, hence
+    superadditive, so splitting h_0(u) and h_1(u) over the coordinates
+    gives g(u) >= sum_i M_p(a_i, b_i; 1/2) |u_i| = h_{B_p}(u).  So
+    g = h_{B_p}, and K_p = B_p exactly.
     """
     _check_nk(n, k)
     if not 0.0 < p <= 1.0:
         raise DomainError(f"p must lie in (0, 1], got {p}")
-    half = 2.0 ** (-1.0 / p)
-    a = []
-    for i in range(n):
-        in_K1 = i < k
-        in_K0 = i >= n - k
-        if in_K0 and in_K1:
-            a.append(1.0)
-        elif in_K0 or in_K1:
-            a.append(half)
-        else:
-            a.append(0.0)
-    return Box(tuple(a))
-
-
-@dataclass(frozen=True)
-class UpperBound:
-    """Rigorous upper bound for V_k(K_p) via the enclosing box."""
-
-    box_value: float        # V_k of the enclosing box (monotonicity of V_k)
-    displayed_value: float  # the coarser per-branch closed form
-    box: Box
-
-
-def upper_bound_vk_kp(n: int, k: int, p: float) -> UpperBound:
-    """Upper bound for V_k((1/2).K_0 +_p (1/2).K_1).
-
-    ``box_value`` is V_k of the enclosing box, always valid since V_k is
-    monotone under inclusion.  ``displayed_value`` is the per-branch
-    closed form 2^k [ binom(2k,k) 2^{-k/p} | C_{n,k} 2^{-1/p} |
-    (2^{2(n-k)} - 1) 2^{-1/p} ], an upper bound for the box value used to
-    derive the threshold.
-    """
-    box = enclosing_box(n, k, p)
-    box_value = vk_box(box.half_lengths, k).value
-    count, exponent = _branch_constants(n, k)
-    displayed = 2.0 ** k * count * 2.0 ** (-exponent / p)
-    return UpperBound(box_value=box_value, displayed_value=displayed, box=box)
+    m_p = (0.0, 0.5 ** (1.0 / p), 1.0)
+    return Box(tuple([m_p[(i < k) + (i >= n - k)] for i in range(n)]))
 
 
 @dataclass(frozen=True)
@@ -187,23 +155,33 @@ def verify_counterexample(n: int, k: int, p: float) -> Verdict:
     """Certify failure of the p-Brunn-Minkowski inequality for V_k at t = 1/2.
 
     The inequality would give V_k(K_p)^{p/k} >= (1/2) V_k(K_0)^{p/k} +
-    (1/2) V_k(K_1)^{p/k}, i.e. V_k(K_p) >= 2^k.  The verdict compares the
-    rigorous upper bound V_k(enclosing box) with 2^k:
+    (1/2) V_k(K_1)^{p/k}, i.e. V_k(K_p) >= 2^k.  The verdict compares
+    V_k(K_p) = V_k(B_p), exact up to rounding (``enclosing_box``), with 2^k:
 
-    - bound < 2^k (1 - COMPARISON_GUARD) -> ``inequality-fails`` with
+    - V_k(B_p) < 2^k (1 - COMPARISON_GUARD) -> ``inequality-fails`` with
       positive margin;
-    - otherwise -> ``inconclusive`` (an upper bound above the target proves
-      nothing either way).
+    - otherwise -> ``inconclusive``.
+
+    ``extras`` carries V_k(B_p) as ``vk_upper_bound`` and the per-branch
+    closed form 2^k [ binom(2k,k) 2^{-k/p} | C_{n,k} 2^{-1/p} |
+    (2^{2(n-k)} - 1) 2^{-1/p} ] that defines pbar as ``vk_displayed_bound``.
+    DomainError if either, or 2^k, is not a finite double.
     """
-    _check_nk(n, k)
-    if not 0.0 < p <= 1.0:
-        raise DomainError(f"p must lie in (0, 1], got {p}")
-    ub = upper_bound_vk_kp(n, k, p)
-    target = 2.0 ** k  # V_k(K_0) = V_k(K_1) = 2^k
+    count, exponent = _branch_constants(n, k)
+    try:
+        box_value = vk_box(enclosing_box(n, k, p).half_lengths, k).value
+        target = 2.0 ** k  # V_k(K_0) = V_k(K_1) = 2^k; OverflowError past the range
+        displayed = target * count * 2.0 ** (-exponent / p)
+        finite = math.isfinite(box_value) and math.isfinite(displayed)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise DomainError(f"n={n}, k={k} is out of double range: V_k(B_p), 2^k or the "
+                          f"per-branch closed form is not a finite double")
     # Comparison scale of the stated inequality: V_k^{p/k}.
-    lhs_scaled = ub.box_value ** (p / k)
+    lhs_scaled = box_value ** (p / k)
     rhs_scaled = target ** (p / k)
-    fails = ub.box_value < target * (1.0 - COMPARISON_GUARD)
+    fails = box_value < target * (1.0 - COMPARISON_GUARD)
     verdict = "inequality-fails" if fails else "inconclusive"
     return Verdict(
         lhs=lhs_scaled,
@@ -216,10 +194,10 @@ def verify_counterexample(n: int, k: int, p: float) -> Verdict:
             "n": n, "k": k, "p": p, "t": 0.5,
             "branch": branch(n, k),
             "pbar": threshold_pbar(n, k),
-            "vk_upper_bound": ub.box_value,
-            "vk_displayed_bound": ub.displayed_value,
+            "vk_upper_bound": box_value,
+            "vk_displayed_bound": displayed,
             "vk_target": target,
-            "vk_margin": target - ub.box_value,
+            "vk_margin": target - box_value,
         },
     )
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,26 +181,24 @@ def _icosphere_half(freq: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(nodes), np.array(weights)
 
 
-def _kappa_table(top: int) -> tuple:
-    # recurrence kappa_j = kappa_{j-2} 2 pi / j from exact seeds; one ulp
-    # tighter than the gamma-function formula for small j
-    vals = [1.0, 2.0]
-    for j in range(2, top + 1):
-        vals.append(vals[j - 2] * 2.0 * math.pi / j)
-    return tuple(vals)
-
-
-#: Unit-ball volumes kappa_j, precomputed for j = 0..16.
-KAPPA = _kappa_table(16)
-
-
 def unit_ball_volume(j: int) -> float:
-    """kappa_j, the volume of the unit ball in R^j (table for j <= 16)."""
+    """kappa_j, the volume of the unit ball in R^j.
+
+    The recurrence kappa_j = kappa_{j-2} 2 pi / j from the exact seeds
+    kappa_0 = 1 and kappa_1 = 2 holds every j; it is one ulp tighter than
+    the gamma-function formula for small j and, unlike it, never overflows.
+    DomainError from j = 436 on, where kappa_j underflows: it is subnormal,
+    with too few significant bits for a ratio kappa_n / kappa_{n-k} (24%
+    off at n = 452), and 0 from j = 453.
+    """
     if j < 0:
         raise DomainError("dimension must be non-negative")
-    if j < len(KAPPA):
-        return KAPPA[j]
-    return math.pi ** (j / 2.0) / math.gamma(j / 2.0 + 1.0)
+    kappa = 2.0 if j % 2 else 1.0
+    for i in range(2 + j % 2, j + 1, 2):
+        kappa = kappa * 2.0 * math.pi / i
+    if kappa < sys.float_info.min:
+        raise DomainError(f"the unit-ball volume kappa_{j} underflows the double range")
+    return kappa
 
 
 def surface_area(n: int) -> float:

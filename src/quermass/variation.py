@@ -90,9 +90,9 @@ class VariationPath:
     psi: TestFunction
     k: int
     grid: SphericalGrid
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _psi_jet: calculus.Jet = field(default=None, repr=False, compare=False)
-    _body_jet: calculus.Jet = field(default=None, repr=False, compare=False)
+    _cache: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    _psi_jet: calculus.Jet = field(init=False, default=None, repr=False, compare=False)
+    _body_jet: calculus.Jet = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         require_smooth(self.body, "VariationPath")

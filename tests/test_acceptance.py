@@ -31,7 +31,6 @@ from quermass import (
     pmean_values,
     poincare_check,
     unit_ball_volume,
-    upper_bound_vk_kp,
     v1_reverse_check,
     verify_counterexample,
     vk_quadrature,
@@ -162,13 +161,13 @@ def test_criterion_5_counterexamples():
             worst_margin = min(worst_margin, v.margin)
             max_dt = max(max_dt, dt)
             cases += 1
-    # the anchor case: V_2 of the (4,2) combination at p = 1/2 is <= 1.5 < 4
-    bound = upper_bound_vk_kp(4, 2, 0.5)
-    ok = ok and abs(bound.box_value - 1.5) <= 1e-12 and bound.box_value < 4.0
+    # the anchor case: V_2 of the (4,2) combination at p = 1/2 is 1.5 < 4
+    bound = verify_counterexample(4, 2, 0.5).extras["vk_upper_bound"]
+    ok = ok and abs(bound - 1.5) <= 1e-12 and bound < 4.0
     _report("criterion-5 counterexample reproduction", ok,
             f"{cases} cases certified, min margin {worst_margin:.3e}, "
             f"max runtime {max_dt*1e3:.1f} ms; (4,2,0.5) bound "
-            f"{bound.box_value} < 4")
+            f"{bound} < 4")
 
 
 def test_criterion_6_threshold_table(tmp_path):

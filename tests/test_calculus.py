@@ -15,12 +15,11 @@ from quermass import (
     build_grid,
     elem_sym,
     ibp_check,
-    integrate,
     poincare_check,
     tangent_hessian,
     vk_quadrature,
 )
-from quermass.calculus import q_from_jet, spherical_gradient, spherical_laplacian
+from quermass.calculus import q_from_jet
 from quermass.intrinsic import _curvature
 
 
@@ -46,41 +45,17 @@ def test_hessian_output_symmetric(grid4):
     assert err.max() < 1e-4
 
 
-def test_laplacian_eigenfunction_degree2(grid3, grid4):
-    # x_1^2 - 1/n is a spherical harmonic with eigenvalue 2n
-    for grid, n in ((grid3, 3), (grid4, 4)):
-        psi = TestFunction.coordinate_harmonic(n)
-        lap = spherical_laplacian(psi, grid.nodes, grid.frames)
-        assert_allclose(lap, -2.0 * n * psi(grid.nodes), atol=5e-8)
-
-
-def test_laplacian_eigenfunction_degree4(grid3):
-    # the zonal degree-4 harmonic has eigenvalue 4(n+2)
-    n = 3
-    psi = TestFunction.zonal_degree4(n)
-    lap = spherical_laplacian(psi, grid3.nodes, grid3.frames)
-    assert_allclose(lap, -4.0 * (n + 2) * psi(grid3.nodes), atol=5e-8)
-
-
 def test_gradient_of_coordinate_harmonic(grid3):
-    # on the sphere, grad (x_1^2) = 2 x_1 (e_1 - x_1 x)
+    # on the sphere, grad (x_1^2) = 2 x_1 (e_1 - x_1 x): the tangential part
+    # (I - x x^T) of the jet's ambient gradient
     psi = TestFunction.coordinate_harmonic(3)
-    G = spherical_gradient(psi, grid3.nodes)
     X = grid3.nodes
+    grad = psi.jet(X).grad
+    G = grad - np.einsum("mi,mi->m", grad, X)[:, None] * X
     expected = 2.0 * X[:, [0]] * (np.eye(3)[0][None, :] - X[:, [0]] * X)
     assert_allclose(G, expected, atol=1e-8)
     # gradient is tangential
     assert_allclose(np.einsum("mi,mi->m", G, X), 0.0, atol=1e-12)
-
-
-def test_gradient_norm_integral_matches_eigenvalue(grid3):
-    # int |grad psi|^2 = 2n int psi^2 for a degree-2 harmonic
-    n = 3
-    psi = TestFunction.coordinate_harmonic(n)
-    G = spherical_gradient(psi, grid3.nodes)
-    lhs = float(np.dot(grid3.weights, np.einsum("mi,mi->m", G, G)))
-    rhs = 2.0 * n * integrate(grid3, lambda X: psi(X) ** 2)
-    assert_allclose(lhs, rhs, rtol=1e-7)
 
 
 def test_hessian_error_estimate_tracks_accuracy(grid3):

@@ -455,15 +455,26 @@ def test_unreadable_config_exits_2(content, tmp_path, capsys):
       '"psi": {"dimension": 3, "terms": [[1.0, [2, 0, 0]]]}}'], "dimension 3 needs an (m, 3)"),
     (["vk", "--n", "4", "--body", "cube:0,5"], "bad body spec"),
     (["vk", "--n", "4", "--body", "cube:1,1"], "bad body spec"),
+    # past double range: kappa_600 underflows to 0, and the cube pair's V_k,
+    # 2^k or closed form is not finite (a NaN report, or an OverflowError)
+    (["vk", "--n", "600", "--k", "2", "--body", "ball:1", "--vk-method", "closed-form"],
+     "kappa_600 underflows"),
+    (["counterexample", "--n", "684", "--k", "343", "--json", "@REPORT"],
+     "n=684, k=343 is out of double range"),
+    (["counterexample", "--n", "1030", "--k", "516", "--json", "@REPORT"],
+     "n=1030, k=516 is out of double range"),
 ])
 def test_bad_spec_exits_1(argv, message, tmp_path, capsys):
     malformed = tmp_path / "malformed.json"
     malformed.write_text('{"type": "ball",')
-    paths = {"@MALFORMED": "@" + str(malformed), "@MISSING": "@" + str(tmp_path / "no.json")}
+    report = tmp_path / "report.json"
+    paths = {"@MALFORMED": "@" + str(malformed), "@MISSING": "@" + str(tmp_path / "no.json"),
+             "@REPORT": str(report)}
     assert main([paths.get(a, a) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("command", ["vk", "concavity", "christoffel", "poincare"])

@@ -24,7 +24,6 @@ from quermass import (
     pmean_values,
     threshold_pbar,
     threshold_table,
-    upper_bound_vk_kp,
     v1_reverse_check,
     verify_counterexample,
     vk_ball,
@@ -111,6 +110,19 @@ def test_threshold_table_shape():
         threshold_table(5, 4)
 
 
+def test_enclosing_box_half_lengths_bitwise():
+    # K_p's half-length is 0, 2^{-1/p} or 1 as zero, one or both cubes cover
+    # the coordinate, exactly: the certificate compares V_k of these values
+    rng = np.random.default_rng(16)
+    for p in [1.0, *map(float, 1.0 - rng.random(199))]:
+        h = 2.0 ** (-1.0 / p)
+        for n in range(3, 13):
+            for k in range(2, n):
+                covered = [(i < k) + (i >= n - k) for i in range(n)]
+                expected = tuple((0.0, h, 1.0)[c] for c in covered)
+                assert enclosing_box(n, k, p).half_lengths == expected
+
+
 def test_enclosing_box_structure():
     # disjoint blocks: all active coordinates carry 2^{-1/p}
     assert enclosing_box(4, 2, 0.5).half_lengths == (0.25, 0.25, 0.25, 0.25)
@@ -132,33 +144,34 @@ def test_upper_bound_relations():
     for n in range(3, 13):
         for k in range(2, n):
             for p in (threshold_pbar(n, k) / 2.0, threshold_pbar(n, k)):
-                ub = upper_bound_vk_kp(n, k, p)
+                ex = verify_counterexample(n, k, p).extras
                 b = branch(n, k)
                 if b != "high":
-                    assert ub.box_value <= ub.displayed_value * (1.0 + 1e-12)
+                    assert ex["vk_upper_bound"] <= ex["vk_displayed_bound"] * (1.0 + 1e-12)
                 if b == "low":
-                    assert_allclose(ub.box_value, ub.displayed_value, rtol=1e-12)
+                    assert_allclose(ex["vk_upper_bound"], ex["vk_displayed_bound"],
+                                    rtol=1e-12)
 
 
 def test_high_branch_box_can_exceed_displayed():
     # frozen instance of the crossover: (6,5) at p = pbar
-    ub = upper_bound_vk_kp(6, 5, threshold_pbar(6, 5))
-    assert_allclose(ub.box_value, 32.0 * 10.0 / 9.0, rtol=1e-12)
-    assert ub.box_value > ub.displayed_value
+    ex = verify_counterexample(6, 5, threshold_pbar(6, 5)).extras
+    assert_allclose(ex["vk_upper_bound"], 32.0 * 10.0 / 9.0, rtol=1e-12)
+    assert ex["vk_upper_bound"] > ex["vk_displayed_bound"]
 
 
 def test_displayed_bound_hits_target_at_pbar():
     for n, k in ((3, 2), (4, 2), (4, 3), (5, 3), (6, 4), (7, 5)):
-        ub = upper_bound_vk_kp(n, k, threshold_pbar(n, k))
-        assert_allclose(ub.displayed_value, 2.0**k, rtol=1e-12)
+        ex = verify_counterexample(n, k, threshold_pbar(n, k)).extras
+        assert_allclose(ex["vk_displayed_bound"], 2.0**k, rtol=1e-12)
 
 
 def test_box_bound_at_half_threshold_frozen():
-    ub = upper_bound_vk_kp(4, 2, 0.5)
-    assert_allclose(ub.box_value, 1.5, rtol=1e-12)
+    ex = verify_counterexample(4, 2, 0.5).extras
+    assert_allclose(ex["vk_upper_bound"], 1.5, rtol=1e-12)
     # (3,2): half-lengths (1/9, 1, 1/9) at p = pbar/2 give 4 e_2 = 0.938...
-    ub = upper_bound_vk_kp(3, 2, threshold_pbar(3, 2) / 2.0)
-    assert_allclose(ub.box_value, 4.0 * (2.0 / 9.0 + 1.0 / 81.0), rtol=1e-12)
+    ex = verify_counterexample(3, 2, threshold_pbar(3, 2) / 2.0).extras
+    assert_allclose(ex["vk_upper_bound"], 4.0 * (2.0 / 9.0 + 1.0 / 81.0), rtol=1e-12)
 
 
 def test_verify_counterexample_below_threshold():
@@ -217,6 +230,19 @@ def test_verify_counterexample_middle_branch_at_pbar_still_fails():
     v = verify_counterexample(3, 2, threshold_pbar(3, 2))
     assert v.conclusion == "inequality-fails"
     assert_allclose(v.extras["vk_upper_bound"], 28.0 / 9.0, rtol=1e-12)
+
+
+def test_high_branch_threshold_from_exact_integer():
+    # the constant 4^{n-k} - 1 is an exact integer: the same doubles as the
+    # float form below n = 120, and a finite threshold where 2.0^{2(n-k)} overflows
+    for n in range(3, 120):
+        for k in range(2, n):
+            if branch(n, k) == "high":
+                assert threshold_pbar(n, k) == 1.0 / math.log2(2.0 ** (2 * (n - k)) - 1.0)
+    assert threshold_pbar(1600, 1068) == 1.0 / 1064.0
+    # there 2^k is past the double range, so the verdict cannot be computed
+    with pytest.raises(DomainError, match="n=1600, k=1068 is out of double range"):
+        verify_counterexample(1600, 1068, threshold_pbar(1600, 1068) / 2.0)
 
 
 def test_verify_counterexample_large_p_inconclusive():

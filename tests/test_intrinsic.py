@@ -76,20 +76,28 @@ def test_unit_ball_volume_values():
     assert_allclose(unit_ball_volume(2), math.pi, rtol=1e-15)
     assert_allclose(unit_ball_volume(3), 4.0 * math.pi / 3.0, rtol=1e-15)
     assert_allclose(unit_ball_volume(5), 8.0 * math.pi**2 / 15.0, rtol=1e-15)
-    # beyond the table the gamma-function formula takes over
+    # the recurrence agrees with the gamma-function formula where that is finite
     assert_allclose(
         unit_ball_volume(17), math.pi**8.5 / math.gamma(9.5), rtol=1e-14
     )
+    assert_allclose(
+        unit_ball_volume(300), math.pi**150 / math.gamma(151.0), rtol=1e-12
+    )
     with pytest.raises(DomainError):
         unit_ball_volume(-1)
+    # kappa_j is subnormal from j = 436 on and 0 from j = 453
+    assert unit_ball_volume(435) > 0.0
+    for j in (436, 452, 453):
+        with pytest.raises(DomainError, match=f"kappa_{j} underflows"):
+            unit_ball_volume(j)
 
 
 def test_one_kappa_table():
     # intrinsic re-exports the sphere's unit_ball_volume; surface areas use
-    # the same table
+    # the same recurrence
     assert intrinsic.unit_ball_volume is sphere.unit_ball_volume
     for n in range(1, 17):
-        assert sphere.surface_area(n) == n * sphere.KAPPA[n]
+        assert sphere.surface_area(n) == n * sphere.unit_ball_volume(n)
 
 
 def test_unit_ball_volume_monte_carlo_crosscheck():
@@ -337,6 +345,10 @@ def test_vk_ball_closed_form():
     # scaling in the radius is R^k
     assert_allclose(vk_ball(5, 3, 2.0).value, 8.0 * vk_ball(5, 3).value, rtol=1e-15)
     assert vk_ball(3, 0).value == 1.0
+    # V_2(B_n) = binom(n, 2) kappa_n / kappa_{n-2} = binom(n, 2) 2 pi / n, past
+    # the dimension where the gamma-function formula for kappa_n overflows
+    assert_allclose(vk_ball(400, 2).value, math.comb(400, 2) * 2.0 * math.pi / 400,
+                    rtol=1e-12)
 
 
 def test_vk_box_values():

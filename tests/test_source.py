@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib.util
 import pathlib
 import warnings
@@ -51,6 +52,25 @@ def test_no_unused_imports():
     assert TESTS and pathlib.Path(__file__).resolve() in TESTS
     unused = [entry for path in SOURCES + TESTS for entry in _unused_imports(path)]
     assert not unused, unused
+
+
+def _settable_private_fields(package) -> list[str]:
+    """``Class.field`` for each dataclass field named ``_...`` that ``__init__`` takes."""
+    found = []
+    for path in sorted(pathlib.Path(package.__file__).parent.glob("*.py")):
+        name = package.__name__ if path.stem == "__init__" else f"{package.__name__}.{path.stem}"
+        module = importlib.import_module(name)
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                    and obj.__module__ == name):
+                found += [f"{obj.__name__}.{f.name}" for f in dataclasses.fields(obj)
+                          if f.init and f.name.startswith("_")]
+    return found
+
+
+def test_private_dataclass_state_is_not_a_constructor_parameter():
+    # a caller-supplied cache or jet would skip the checks __post_init__ makes
+    assert not _settable_private_fields(quermass)
 
 
 def test_benchmark_span_entry_points_resolve():
