@@ -16,8 +16,14 @@ smooth extension g of f to R^n, with E the (n-1) x n frame at x,
 
     Q[f] = E (Hess g) E^T + (g - x . grad g) I,
 
-which ``q_from_jet`` evaluates; the program computes every Q, spherical
-gradient (the tangential part of grad g) and Laplacian this way.
+which ``q_from_jet`` evaluates; the program computes the Q of every body
+and test function, the spherical gradient (the tangential part t_f =
+E grad g) and the Laplacian this way.  Products need no jet of their own:
+
+    Q[f g] = f Q[g] + g Q[f] - f g I + t_f (x) t_g + t_g (x) t_f,
+
+so a variation path (``variation.VariationPath``) builds Q[psi^j h e^{s psi}]
+from Q[h], Q[psi], t_h and t_psi, in closed form in s.
 
 ``tangent_hessian`` is the test oracle for the exact route, and the
 generic tool for an arbitrary callable.  It differences the field: second
@@ -44,23 +50,14 @@ HESSIAN_STEP = 2e-3
 class Jet:
     """Value, gradient and Hessian of a field on R^n at m points.
 
-    Shapes (m,), (m, n) and (m, n, n).  Products and ``exp`` follow the
-    product and chain rules, so a jet of P exp(R) is exact to rounding.
+    Shapes (m,), (m, n) and (m, n, n).  ``scaled`` and ``exp`` follow the
+    chain rule, so the jet of exp(s psi) for a polynomial psi is exact to
+    rounding.
     """
 
     value: np.ndarray
     grad: np.ndarray
     hess: np.ndarray
-
-    def __mul__(self, other: "Jet") -> "Jet":
-        u, w = self.value[:, None], other.value[:, None]
-        cross = self.grad[:, :, None] * other.grad[:, None, :]
-        return Jet(
-            self.value * other.value,
-            u * other.grad + w * self.grad,
-            u[:, :, None] * other.hess + w[:, :, None] * self.hess
-            + cross + np.swapaxes(cross, 1, 2),
-        )
 
     def scaled(self, c: float) -> "Jet":
         return Jet(c * self.value, c * self.grad, c * self.hess)

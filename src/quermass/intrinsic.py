@@ -31,8 +31,9 @@ densities S_{k-1}(Q[h]) and the intrinsic volumes
 normalized so that V_k of the unit ball is binom(n,k) kappa_n/kappa_{n-k}
 and V_k of a box with half-lengths a_i is 2^k e_k(a_1..a_n).  V_k, f_k,
 the integration-by-parts check and the Christoffel-Minkowski residual all
-take h, Q[h] and S_r(Q[h]) from ``_curvature``; V_k and f_k decide
-Q[h] > 0 with ``_pd_violation``.
+take h, Q[h] and S_r(Q[h]) from ``_curvature_of`` (through ``_curvature``
+from a support jet, or, along a variation path, from Q in closed form in
+s); V_k and f_k decide Q[h] > 0 with ``_pd_violation``.
 """
 
 from __future__ import annotations
@@ -171,8 +172,12 @@ def _curvature(jet: calculus.Jet, nodes: np.ndarray, frames: np.ndarray):
     Shapes (m,), (m, N, N) and (m, N + 1).  Raises EvaluationError naming
     the first node, and its point, where h or an entry of Q is not finite.
     """
-    h = jet.value
-    Q = calculus.q_from_jet(jet, nodes, frames)
+    return _curvature_of(jet.value, calculus.q_from_jet(jet, nodes, frames), nodes)
+
+
+def _curvature_of(h: np.ndarray, Q: np.ndarray, nodes: np.ndarray):
+    """(h, Q, S_0..S_N(Q)) for support values h and their Q, however built;
+    EvaluationError as in ``_curvature``."""
     _check_finite("h or Q[h]", nodes, h, Q)
     return h, Q, _elem_sym_all_batch(Q)
 

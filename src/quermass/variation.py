@@ -16,8 +16,11 @@ closed expressions in the cofactors of S_{k-1}:
              + int psi h_s <S_{k-1}^{ij,rs}, Q[psi h_s] (x) Q[psi h_s]>
              + int psi h_s <S_{k-1}^{ij}, Q[psi^2 h_s]>
 
-One routine evaluates all four from the path's cached record of h_s, and a
-concavity scan takes f_k, f_k' and f_k'' from one call per s.
+The s-dependence of every Q here is exact and elementary: Q[h_s] =
+e^{s psi} (U_0 + s U_1 + s^2 U_2) with per-path coefficients U_j, and
+Q[psi h_s], Q[psi^2 h_s] are its first two s-derivatives, so no jet is
+built per s.  One routine evaluates all four from the path's cached record
+of h_s, and a concavity scan takes f_k, f_k' and f_k'' from one call per s.
 
 The p-Brunn-Minkowski inequality for V_k along geodesics of the 0-sum is
 log-concavity of f_k in s, i.e. H(s) = f_k f_k'' - (f_k')^2 <= 0.  For
@@ -50,6 +53,7 @@ from .intrinsic import (
     _check_order,
     _cofactor_batch,
     _curvature,
+    _curvature_of,
     _pd_violation,
     _second_cofactor_batch,
 )
@@ -77,13 +81,20 @@ def _jet(f, X: np.ndarray, what: str) -> calculus.Jet:
 class VariationPath:
     """The family h_s = h e^{s psi} for a smooth base body.
 
-    The jets of psi and of h at the grid nodes are computed once, so each
-    new s costs one exp plus product-rule arithmetic, and every Q is
-    exact.  Construction verifies that Q[h_s] is positive definite at every
-    grid node for s in {-2, -1, 0, 1, 2} (else PathValidityError); a
-    non-finite psi, h_s or Q[h_s] raises EvaluationError.  The record of h_s
-    (jet, h, Q, S_{k-1}(Q)) is cached for s = 0, which fixes the tolerance
-    of a scan, and for the latest s.
+    Q is linear, so Q[h_s] = e^{s psi} A(s) at every node with the
+    quadratic A(s) = U_0 + s U_1 + s^2 U_2, where t_f = E grad f is the
+    tangential gradient and
+
+        U_0 = Q[h],  U_1 = t_h (x) t_psi + t_psi (x) t_h + h (Q[psi] - psi I),
+        U_2 = h t_psi (x) t_psi.
+
+    The coefficients come once from the exact jets of h and psi, so each new
+    s costs one exp(s psi) and a few array operations, and every Q is exact.
+    Construction verifies that Q[h_s] is positive definite at every grid
+    node for s in {-2, -1, 0, 1, 2} (else PathValidityError); a non-finite
+    psi, h_s or Q[h_s] raises EvaluationError.  The record of h_s
+    (e^{s psi}, h, Q, S_{k-1}(Q)) is cached for s = 0, which fixes the
+    tolerance of a scan, and for the latest s.
     """
 
     body: Body
@@ -91,37 +102,68 @@ class VariationPath:
     k: int
     grid: SphericalGrid
     _cache: dict = field(init=False, default_factory=dict, repr=False, compare=False)
-    _psi_jet: calculus.Jet = field(init=False, default=None, repr=False, compare=False)
-    _body_jet: calculus.Jet = field(init=False, default=None, repr=False, compare=False)
+    _psi: np.ndarray = field(init=False, default=None, repr=False, compare=False)
+    _h: np.ndarray = field(init=False, default=None, repr=False, compare=False)
+    _u: tuple = field(init=False, default=(), repr=False, compare=False)
 
     def __post_init__(self):
         require_smooth(self.body, "VariationPath")
         _check_order("k", self.k, 1, self.grid.dimension)
-        self._psi_jet = _jet(self.psi, self.grid.nodes, "VariationPath")
-        self._body_jet = self.body.support_jet(self.grid.nodes)
+        nodes, frames = self.grid.nodes, self.grid.frames
+        psi = _jet(self.psi, nodes, "VariationPath")
+        body = self.body.support_jet(nodes)
+        self._psi, self._h = psi.value, body.value
+        t_psi = np.einsum("mij,mj->mi", frames, psi.grad)
+        t_h = np.einsum("mij,mj->mi", frames, body.grad)
+        cross = t_h[:, :, None] * t_psi[:, None, :]
+        U1 = calculus.q_from_jet(psi, nodes, frames)
+        N = U1.shape[-1]
+        U1[:, np.arange(N), np.arange(N)] -= psi.value[:, None]
+        U1 = self._h[:, None, None] * U1 + cross + np.swapaxes(cross, 1, 2)
+        U2 = self._h[:, None, None] * t_psi[:, :, None] * t_psi[:, None, :]
+        self._u = (calculus.q_from_jet(body, nodes, frames), U1, U2)
         for s in _VALIDITY_SAMPLES:
             self._node_data(s)
-
-    def _q(self, jet: calculus.Jet) -> np.ndarray:
-        return calculus.q_from_jet(jet, self.grid.nodes, self.grid.frames)
 
     # -- node data of s = 0 and of the latest s ----------------------------
     def _node_data(self, s: float) -> dict:
         key = float(s)
         data = self._cache.get(key)
         if data is None:
-            jet = self._body_jet * self._psi_jet.scaled(key).exp()
-            h, Q, S = _curvature(jet, self.grid.nodes, self.grid.frames)
+            e = np.exp(key * self._psi)
+            U0, U1, U2 = self._u
+            Q = e[:, None, None] * (U0 + key * (U1 + key * U2))
+            h, Q, S = _curvature_of(self._h * e, Q, self.grid.nodes)
             violation = _pd_violation(Q)
             if violation is not None:
                 bad, lo = violation
                 raise PathValidityError(
                     f"Q[h_s] not positive definite at s={key} (node {bad}, min eigenvalue "
                     f"{lo:.3e}); the path left the smooth convex cone", s=key, node_index=bad)
-            data = {"jet": jet, "h": h, "Q": Q, "dens": S[:, self.k - 1]}
+            data = {"e": e, "h": h, "Q": Q, "dens": S[:, self.k - 1]}
             self._cache = {s0: d for s0, d in self._cache.items() if s0 == 0.0}
             self._cache[key] = data
         return data
+
+    def _q_derivatives(self, s: float, order: int) -> list[np.ndarray]:
+        """[Q[h_s], Q[psi h_s], Q[psi^2 h_s]][:order + 1].
+
+        Since d/ds h_s = psi h_s, Q[psi^j h_s] = d/ds Q[psi^{j-1} h_s].  If
+        Q[psi^{j-1} h_s] = e^{s psi} B(s), that is psi Q[psi^{j-1} h_s] +
+        e^{s psi} B'(s): B = A gives Q[psi h_s] = psi Q[h_s] + e^{s psi} A',
+        and B = psi A + A' gives Q[psi^2 h_s] = psi Q[psi h_s] +
+        e^{s psi} (psi A' + A''), with A' = U_1 + 2 s U_2 and A'' = 2 U_2.
+        """
+        data = self._node_data(s)
+        e, psi = data["e"][:, None, None], self._psi[:, None, None]
+        _, U1, U2 = self._u
+        out = [data["Q"]]
+        if order >= 1:
+            da = U1 + (2.0 * s) * U2
+            out.append(psi * out[0] + e * da)
+        if order >= 2:
+            out.append(psi * out[1] + e * (psi * da + 2.0 * U2))
+        return out
 
 
 def _check_s(s: float) -> float:
@@ -137,21 +179,22 @@ def _derivatives(path: VariationPath, s: float, order: int) -> list[float]:
     second-cofactor contraction and Q[psi^2 h_s] only for order 3.  T_0 = 0,
     so for k = 1 every cofactor term vanishes.
     """
-    data = path._node_data(_check_s(s))
-    w, psi = path.grid.weights, path._psi_jet.value
+    s = _check_s(s)
+    data = path._node_data(s)
+    w, psi = path.grid.weights, path._psi
     h, dens, Q = data["h"], data["dens"], data["Q"]
     out = [float(np.dot(w, h * dens)) / path.k, float(np.dot(w, psi * h * dens))]
     if order < 2:
         return out[:order + 1]
     cof = np.zeros(Q.shape) if path.k == 1 else _cofactor_batch(Q, path.k - 1)
-    psih = path._psi_jet * data["jet"]
-    qdot = path._q(psih)
+    qs = path._q_derivatives(s, order - 1)
+    qdot = qs[1]
     inner1 = np.einsum("mij,mij->m", cof, qdot)
     out.append(float(np.dot(w, psi * psi * h * dens)) + float(np.dot(w, psi * h * inner1)))
     if order < 3:
         return out
     inner2 = np.einsum("mij,mij->m", _second_cofactor_batch(Q, path.k - 1, qdot), qdot)
-    inner3 = np.einsum("mij,mij->m", cof, path._q(path._psi_jet * psih))
+    inner3 = np.einsum("mij,mij->m", cof, qs[2])
     out.append(float(np.dot(w, psi ** 3 * h * dens))
                + 2.0 * float(np.dot(w, psi * psi * h * inner1))
                + float(np.dot(w, psi * h * inner2))

@@ -19,7 +19,7 @@ from quermass import (
     tangent_hessian,
     vk_quadrature,
 )
-from quermass.calculus import q_from_jet
+from quermass.calculus import Jet, q_from_jet
 from quermass.intrinsic import _curvature
 
 
@@ -104,16 +104,39 @@ def test_path_q_matches_finite_difference_oracle(case):
     n, psi, body, s, j = case
     grid = build_grid(n, 24, "monte-carlo", seed=n)
     path = VariationPath(body, psi, 1, grid)
-    jet = path._node_data(s)["jet"]
-    for _ in range(j):
-        jet = path._psi_jet * jet
-    Q = path._q(jet)
+    Q = path._q_derivatives(s, j)[j]
 
     def field(X):
         return psi(X) ** j * body.support_values(X) * np.exp(s * psi(X))
 
     Q_fd, err = tangent_hessian(field, grid.nodes, grid.frames)
     assert np.all(np.abs(Q - Q_fd).max(axis=(1, 2)) <= err + 1e-9)
+
+
+def _jet_product(a, b):
+    """The product rule on R^n jets: the jet of the product of two fields."""
+    cross = a.grad[:, :, None] * b.grad[:, None, :]
+    return Jet(a.value * b.value,
+               a.value[:, None] * b.grad + b.value[:, None] * a.grad,
+               a.value[:, None, None] * b.hess + b.value[:, None, None] * a.hess
+               + cross + np.swapaxes(cross, 1, 2))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_path_fields())
+def test_path_q_matches_jet_product_route(case):
+    # the path's closed form in s, e^{s psi} (U_0 + s U_1 + s^2 U_2) and its
+    # s-derivatives, against q_from_jet of the jet of psi^j h e^{s psi}
+    n, psi, body, s, j = case
+    grid = build_grid(n, 24, "monte-carlo", seed=n)
+    path = VariationPath(body, psi, 1, grid)
+    psi_jet = psi.jet(grid.nodes)
+    jet = _jet_product(body.support_jet(grid.nodes), psi_jet.scaled(s).exp())
+    for _ in range(j):
+        jet = _jet_product(psi_jet, jet)
+    Q_jet = q_from_jet(jet, grid.nodes, grid.frames)
+    Q = path._q_derivatives(s, j)[j]
+    assert np.abs(Q - Q_jet).max() <= 1e-12 * np.abs(Q_jet).max()
 
 
 def test_ball_q_is_radius_times_identity_exactly(grid3, grid5):

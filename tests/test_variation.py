@@ -32,8 +32,9 @@ from quermass import (
     poincare_check,
     build_grid,
 )
-from quermass import bodies
+from quermass import bodies, calculus
 from quermass.calculus import Jet
+from quermass.variation import _derivatives
 
 
 def _centered_quadratic(rng, n, amplitude):
@@ -315,6 +316,23 @@ def test_scan_caches_two_s_values(grid3):
                  "concavity_values"):
         assert getattr(fresh, name)[::-1] == getattr(rep, name)
     assert (fresh.tolerance, fresh.verdict) == (rep.tolerance, rep.verdict)
+
+
+def test_new_s_needs_no_jets(grid4, monkeypatch):
+    # after construction, a new s takes every Q from the path's coefficients
+    # in closed form: no R^n jet is built or projected per s
+    psi = TestFunction.quadratic(np.diag([1.0, -0.5, 0.25, -0.75]), amplitude=0.02)
+    body = LogPerturbedBall(TestFunction.zonal_degree4(4).scaled(0.1), 0.5)
+    reference, path = (VariationPath(body, psi, 3, grid4) for _ in range(2))
+    expected = _derivatives(reference, 0.37, 3)
+
+    def no_jets(*args, **kwargs):
+        raise AssertionError("a jet was used for a new s")
+
+    monkeypatch.setattr(calculus, "q_from_jet", no_jets)
+    monkeypatch.setattr(Jet, "__mul__", no_jets, raising=False)
+    monkeypatch.setattr(Jet, "exp", no_jets)
+    assert _derivatives(path, 0.37, 3) == expected
 
 
 def test_scan_rejects_empty_s_values(grid3):
