@@ -31,9 +31,10 @@ densities S_{k-1}(Q[h]) and the intrinsic volumes
 normalized so that V_k of the unit ball is binom(n,k) kappa_n/kappa_{n-k}
 and V_k of a box with half-lengths a_i is 2^k e_k(a_1..a_n).  V_k, f_k,
 the integration-by-parts check and the Christoffel-Minkowski residual all
-take h, Q[h] and S_r(Q[h]) from ``_curvature_of`` (through ``_curvature``
-from a support jet, or, along a variation path, from Q in closed form in
-s); V_k and f_k decide Q[h] > 0 with ``_pd_violation``.
+take S_r(Q[h]) and T_r(Q[h]) from one Faddeev-LeVerrier pass,
+``_cofactor_batch``, stopped at the order r they read (through
+``_curvature`` from a support jet, or, along a variation path, on Q in
+closed form in s); V_k and f_k decide Q[h] > 0 with ``_pd_violation``.
 """
 
 from __future__ import annotations
@@ -98,15 +99,20 @@ def elem_sym(r: int, A: np.ndarray) -> float:
     return float(_elem_sym_all_batch(A[None])[0, r])
 
 
-def _cofactor_batch(A: np.ndarray, r: int) -> np.ndarray:
-    """Exact first cofactors T_r = B_r for a batch (m, N, N) -> (m, N, N).
+def _cofactor_batch(A: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """(S_r, T_r) for a batch (m, N, N): shapes (m,) and (m, N, N).
 
-    r - 1 Faddeev-LeVerrier steps from B_1 = I.
+    r Faddeev-LeVerrier steps from B_1 = I: T_r = B_r is the input of step
+    r and S_r its output (T_1 is a read-only view of I); r = 0 gives S_0 = 1
+    and T_0 = 0.
     """
-    B = np.broadcast_to(np.eye(A.shape[-1]), A.shape).copy()
-    for j in range(1, r):
-        _, B = _fl_step(A @ B, j)
-    return B
+    if r == 0:
+        return np.ones(len(A)), np.zeros(A.shape)
+    B = np.broadcast_to(np.eye(A.shape[-1]), A.shape)
+    for j in range(1, r + 1):
+        T = B
+        S, B = _fl_step(A @ B, j)
+    return S, T
 
 
 def cofactor(r: int, A: np.ndarray) -> np.ndarray:
@@ -116,7 +122,7 @@ def cofactor(r: int, A: np.ndarray) -> np.ndarray:
     is the adjugate, and at A = I_N it equals binom(N-1, r-1) I_N.
     """
     A = _check_symmetric(A, r, 1)
-    return _cofactor_batch(A[None], r)[0]
+    return _cofactor_batch(A[None], r)[1][0].copy()
 
 
 def _second_cofactor_batch(A: np.ndarray, r: int, X: np.ndarray) -> np.ndarray:
@@ -166,20 +172,15 @@ def _check_finite(what: str, nodes: np.ndarray, *arrays: np.ndarray) -> None:
                               node_index=bad, point=np.array(nodes[bad]))
 
 
-def _curvature(jet: calculus.Jet, nodes: np.ndarray, frames: np.ndarray):
-    """(h, Q[h], S_0..S_N(Q[h])) at the nodes from an exact support jet.
+def _curvature(jet: calculus.Jet, nodes: np.ndarray, frames: np.ndarray, r: int):
+    """(h, Q[h], S_r(Q[h]), T_r(Q[h])) at the nodes from an exact support jet.
 
-    Shapes (m,), (m, N, N) and (m, N + 1).  Raises EvaluationError naming
+    Shapes (m,), (m, N, N), (m,) and (m, N, N).  Raises EvaluationError naming
     the first node, and its point, where h or an entry of Q is not finite.
     """
-    return _curvature_of(jet.value, calculus.q_from_jet(jet, nodes, frames), nodes)
-
-
-def _curvature_of(h: np.ndarray, Q: np.ndarray, nodes: np.ndarray):
-    """(h, Q, S_0..S_N(Q)) for support values h and their Q, however built;
-    EvaluationError as in ``_curvature``."""
+    h, Q = jet.value, calculus.q_from_jet(jet, nodes, frames)
     _check_finite("h or Q[h]", nodes, h, Q)
-    return h, Q, _elem_sym_all_batch(Q)
+    return (h, Q) + _cofactor_batch(Q, r)
 
 
 def _pd_violation(Q: np.ndarray) -> tuple[int, float] | None:
@@ -209,9 +210,9 @@ class IntrinsicVolumeResult:
 
 
 def _vk_integral(body: Body, k: int, grid: SphericalGrid):
-    h, Q, S = _curvature(body.support_jet(grid.nodes), grid.nodes, grid.frames)
+    h, Q, S, _ = _curvature(body.support_jet(grid.nodes), grid.nodes, grid.frames, k - 1)
     n = grid.dimension
-    value = float(np.dot(grid.weights, h * S[:, k - 1])) / (k * unit_ball_volume(n - k))
+    value = float(np.dot(grid.weights, h * S)) / (k * unit_ball_volume(n - k))
     return value, _pd_violation(Q) is None
 
 

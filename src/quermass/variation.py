@@ -53,7 +53,6 @@ from .intrinsic import (
     _check_order,
     _cofactor_batch,
     _curvature,
-    _curvature_of,
     _pd_violation,
     _second_cofactor_batch,
 )
@@ -93,8 +92,9 @@ class VariationPath:
     Construction verifies that Q[h_s] is positive definite at every grid
     node for s in {-2, -1, 0, 1, 2} (else PathValidityError); a non-finite
     psi, h_s or Q[h_s] raises EvaluationError.  The record of h_s
-    (e^{s psi}, h, Q, S_{k-1}(Q)) is cached for s = 0, which fixes the
-    tolerance of a scan, and for the latest s.
+    (e^{s psi}, h, Q, S_{k-1}(Q) and T_{k-1}(Q)) is cached for s = 0, which
+    fixes the tolerance of a scan, and for the latest s, which a new s drops
+    before its own record is built.
     """
 
     body: Body
@@ -130,18 +130,19 @@ class VariationPath:
         key = float(s)
         data = self._cache.get(key)
         if data is None:
+            self._cache = {s0: d for s0, d in self._cache.items() if s0 == 0.0}
             e = np.exp(key * self._psi)
             U0, U1, U2 = self._u
-            Q = e[:, None, None] * (U0 + key * (U1 + key * U2))
-            h, Q, S = _curvature_of(self._h * e, Q, self.grid.nodes)
+            h, Q = self._h * e, e[:, None, None] * (U0 + key * (U1 + key * U2))
+            _check_finite("h or Q[h]", self.grid.nodes, h, Q)
+            dens, cof = _cofactor_batch(Q, self.k - 1)
             violation = _pd_violation(Q)
             if violation is not None:
                 bad, lo = violation
                 raise PathValidityError(
                     f"Q[h_s] not positive definite at s={key} (node {bad}, min eigenvalue "
                     f"{lo:.3e}); the path left the smooth convex cone", s=key, node_index=bad)
-            data = {"e": e, "h": h, "Q": Q, "dens": S[:, self.k - 1]}
-            self._cache = {s0: d for s0, d in self._cache.items() if s0 == 0.0}
+            data = {"e": e, "h": h, "Q": Q, "dens": dens, "cof": cof}
             self._cache[key] = data
         return data
 
@@ -175,18 +176,17 @@ def _check_s(s: float) -> float:
 def _derivatives(path: VariationPath, s: float, order: int) -> list[float]:
     """[f_k, f_k', f_k'', f_k'''][:order + 1] at s from one node record.
 
-    T_{k-1}(Q) and Q[psi h_s] are built only for order >= 2, the
-    second-cofactor contraction and Q[psi^2 h_s] only for order 3.  T_0 = 0,
-    so for k = 1 every cofactor term vanishes.
+    The record holds S_{k-1}(Q) and T_{k-1}(Q) (T_0 = 0, so for k = 1 every
+    cofactor term vanishes).  Q[psi h_s] is built only for order >= 2, the
+    second-cofactor contraction and Q[psi^2 h_s] only for order 3.
     """
     s = _check_s(s)
     data = path._node_data(s)
     w, psi = path.grid.weights, path._psi
-    h, dens, Q = data["h"], data["dens"], data["Q"]
+    h, dens, Q, cof = data["h"], data["dens"], data["Q"], data["cof"]
     out = [float(np.dot(w, h * dens)) / path.k, float(np.dot(w, psi * h * dens))]
     if order < 2:
         return out[:order + 1]
-    cof = np.zeros(Q.shape) if path.k == 1 else _cofactor_batch(Q, path.k - 1)
     qs = path._q_derivatives(s, order - 1)
     qdot = qs[1]
     inner1 = np.einsum("mij,mij->m", cof, qdot)
@@ -389,8 +389,7 @@ def ibp_check(body: Body, phi, phibar, psi, k: int, grid: SphericalGrid) -> IbpR
     require_smooth(body, "ibp_check")
     _check_order("k", k, 1, grid.dimension - 1)
     w, nodes, frames = grid.weights, grid.nodes, grid.frames
-    _, Qh, _ = _curvature(body.support_jet(nodes), nodes, frames)
-    cof = _cofactor_batch(Qh, k)
+    _, Qh, _, cof = _curvature(body.support_jet(nodes), nodes, frames, k)
     jphi, jphibar, jpsi = (_jet(f, nodes, "ibp_check") for f in (phi, phibar, psi))
     qphi, qphibar, qpsi = (calculus.q_from_jet(j, nodes, frames) for j in (jphi, jphibar, jpsi))
     vphi, vphibar, vpsi = jphi.value, jphibar.value, jpsi.value
@@ -424,10 +423,10 @@ def christoffel_residual_grid(body: Body, p: float, k: int, grid: SphericalGrid)
     n = grid.dimension
     _check_order("k", k, 2, n)
     require_smooth(body, "christoffel_residual_grid")
-    h, _, S = _curvature(body.support_jet(grid.nodes), grid.nodes, grid.frames)
+    h, _, S, _ = _curvature(body.support_jet(grid.nodes), grid.nodes, grid.frames, k - 1)
     if np.any(h <= 0.0):
         raise DomainError("christoffel residual requires positive support")
-    vals = h ** (1.0 - p) * S[:, k - 1] - math.comb(n - 1, k - 1)
+    vals = h ** (1.0 - p) * S - math.comb(n - 1, k - 1)
     return vals, float(np.max(np.abs(vals)))
 
 

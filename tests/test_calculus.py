@@ -143,7 +143,7 @@ def test_ball_q_is_radius_times_identity_exactly(grid3, grid5):
     for grid in (grid3, grid5):
         N = grid.dimension - 1
         for R in (1.0, 2.5, 0.3):
-            _, Q, _ = _curvature(Ball(R).support_jet(grid.nodes), grid.nodes, grid.frames)
+            _, Q, _, _ = _curvature(Ball(R).support_jet(grid.nodes), grid.nodes, grid.frames, 0)
             assert Q.shape == (grid.node_count, N, N)
             assert_allclose(Q, np.broadcast_to(R * np.eye(N), Q.shape), rtol=0, atol=1e-15)
 

@@ -153,6 +153,22 @@ def test_cofactor_identity_matrix_exact():
             assert np.array_equal(cofactor(r, np.eye(N)), expected)
 
 
+def test_cofactor_batch_stops_the_elem_sym_pass_at_r(rng):
+    # S_r of the pass stopped at r is bitwise column r of the full pass, and
+    # T_0 = 0
+    for N in (1, 2, 3, 4, 5):
+        A = np.stack([_random_symmetric(rng, N) for _ in range(7)])
+        S_all = intrinsic._elem_sym_all_batch(A)
+        for r in range(N + 1):
+            assert np.array_equal(intrinsic._cofactor_batch(A, r)[0], S_all[:, r])
+        assert np.array_equal(intrinsic._cofactor_batch(A, 0)[1], np.zeros(A.shape))
+    # the pass's T_1 is a read-only view of I; cofactor returns its own array
+    T1 = cofactor(1, A[0])
+    assert T1.flags.writeable and T1.flags.owndata
+    T1[0, 0] = 5.0
+    assert np.array_equal(cofactor(1, A[0]), np.eye(5))
+
+
 def test_cofactor_matches_fd_oracle(rng):
     for N in (2, 3, 4, 5):
         A = _random_symmetric(rng, N)
@@ -309,7 +325,7 @@ def test_second_cofactor_contraction_matches_fd(rng):
 
 def test_q_matrix_ball(grid3):
     X = grid3.nodes
-    _, Q_all, _ = intrinsic._curvature(Ball(2.0).support_jet(X), X, grid3.frames)
+    _, Q_all, _, _ = intrinsic._curvature(Ball(2.0).support_jet(X), X, grid3.frames, 0)
     assert Q_all.shape == (grid3.node_count, 2, 2)
     assert_allclose(Q_all, np.broadcast_to(2.0 * np.eye(2), Q_all.shape), atol=1e-9)
 
@@ -332,9 +348,9 @@ def test_area_measure_density_ball(grid4):
     # S_{k-1}(R I_{n-1}) = binom(n-1, k-1) R^{k-1} at every node
     X = grid4.nodes
     for R in (1.0, 1.5):
-        _, _, S = intrinsic._curvature(Ball(R).support_jet(X), X, grid4.frames)
         for k in (1, 2, 3, 4):
-            assert_allclose(S[:, k - 1], math.comb(3, k - 1) * R ** (k - 1), rtol=1e-8)
+            _, _, S, _ = intrinsic._curvature(Ball(R).support_jet(X), X, grid4.frames, k - 1)
+            assert_allclose(S, math.comb(3, k - 1) * R ** (k - 1), rtol=1e-8)
 
 
 def test_vk_ball_closed_form():
@@ -427,7 +443,7 @@ def test_non_finite_support_raises_evaluation_error(grid3):
         assert exc_info.value.node_index == node
         assert_allclose(exc_info.value.point, grid3.nodes[node], rtol=0, atol=0)
     with pytest.raises(EvaluationError) as exc_info:
-        intrinsic._curvature(nan_body.support_jet(grid3.nodes), grid3.nodes, grid3.frames)
+        intrinsic._curvature(nan_body.support_jet(grid3.nodes), grid3.nodes, grid3.frames, 1)
     assert exc_info.value.node_index == 0
 
 

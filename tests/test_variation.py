@@ -31,8 +31,9 @@ from quermass import (
     integrate,
     poincare_check,
     build_grid,
+    vk_quadrature,
 )
-from quermass import bodies, calculus
+from quermass import bodies, calculus, intrinsic
 from quermass.calculus import Jet
 from quermass.variation import _derivatives
 
@@ -333,6 +334,35 @@ def test_new_s_needs_no_jets(grid4, monkeypatch):
     monkeypatch.setattr(Jet, "__mul__", no_jets, raising=False)
     monkeypatch.setattr(Jet, "exp", no_jets)
     assert _derivatives(path, 0.37, 3) == expected
+
+
+def test_one_faddeev_leverrier_pass_per_q(grid5, monkeypatch):
+    # S_{k-1}(Q) and T_{k-1}(Q) come from one pass stopped at r = k - 1 (k
+    # for ibp_check); only the second-cofactor tangent pass, two steps per
+    # order above 1, adds steps
+    steps = []
+    fl_step = intrinsic._fl_step
+
+    def counted(AB, j):
+        steps.append(j)
+        return fl_step(AB, j)
+
+    def count(fn, *args):
+        steps.clear()
+        fn(*args)
+        return len(steps)
+
+    monkeypatch.setattr(intrinsic, "_fl_step", counted)
+    psi = TestFunction.zonal_degree4(5).scaled(0.05)
+    phi, phibar = (TestFunction.coordinate_harmonic(5).scaled(a) for a in (0.1, 0.2))
+    body = LogPerturbedBall(TestFunction.coordinate_harmonic(5), 0.1)
+    for k in range(1, 6):
+        path = VariationPath(body, psi, k, grid5)
+        assert count(_derivatives, path, 0.3, 2) == k - 1
+        assert count(_derivatives, path, 0.7, 3) == k - 1 + 2 * max(k - 2, 0)
+        assert count(vk_quadrature, body, k, grid5) == 2 * (k - 1)
+        if k < 5:
+            assert count(ibp_check, body, phi, phibar, psi, k, grid5) == k + 2 * (k - 1)
 
 
 def test_scan_rejects_empty_s_values(grid3):
