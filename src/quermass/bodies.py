@@ -29,7 +29,12 @@ from .sphere import TestFunction
 
 
 class Body:
-    """Base class; subclasses implement vectorized ``support_values``."""
+    """Base class; subclasses implement vectorized ``support_values``.
+
+    A smooth body is origin-symmetric: at -x its support jet has the value
+    and the Hessian it has at x and the negated gradient.  The curvature
+    quadratures rely on that to sum over one node of each antipodal pair.
+    """
 
     #: Whether the support function is twice differentiable on the sphere.
     is_smooth = False

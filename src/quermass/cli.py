@@ -15,7 +15,10 @@ Each option is declared once, in ``_COMMANDS``, which makes its flag
 config file (--config) against the same type or choices.  Explicit flags
 override file values, which override built-in defaults.  Reports are
 written as JSON (--json) carrying the package version, the effective
-configuration, a SHA-256 fingerprint of the quadrature grid and, under
+configuration, a SHA-256 fingerprint of the quadrature grid, the number
+of nodes it was evaluated on (``evaluated_nodes``: one per antipodal pair
+for V_k quadrature, concavity and ibp-check, whose integrands are even;
+every node for christoffel and poincare) and, under
 ``results``, the fields of the result record (``dataclasses.asdict``).  Every
 subcommand writes CSV (--out): a header row, then one row per result (a
 table row, an s value, a grid node or the single result).  Runs are
@@ -125,19 +128,20 @@ def _make_grid(cfg: dict, seed_used_elsewhere: bool = False) -> SphericalGrid:
     return build_grid(n, res, method, seed=cfg["seed"])
 
 
-def _grid_meta(grid: SphericalGrid) -> dict:
+def _grid_meta(grid: SphericalGrid, half: bool) -> dict:
     return {
         "dimension": grid.dimension,
         "resolution": grid.resolution,
         "method": grid.method,
         "seed": grid.seed,
         "node_count": grid.node_count,
+        "evaluated_nodes": grid.half.node_count if half else grid.node_count,
         "fingerprint": grid.fingerprint(),
     }
 
 
 def _write_report(path: str | None, command: str, cfg: dict, results: dict,
-                  grid: SphericalGrid | None = None) -> None:
+                  grid: SphericalGrid | None = None, half: bool = False) -> None:
     if not path:
         return
     doc = {
@@ -148,7 +152,7 @@ def _write_report(path: str | None, command: str, cfg: dict, results: dict,
         "results": results,
     }
     if grid is not None:
-        doc["grid"] = _grid_meta(grid)
+        doc["grid"] = _grid_meta(grid, half)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -162,12 +166,16 @@ def _write_csv(path: str | None, rows: list[list | tuple] | None) -> None:
 
 
 class _Outcome(NamedTuple):
-    """A finished subcommand: its exit code and what --json and --out write."""
+    """A finished subcommand: its exit code and what --json and --out write.
+
+    ``half`` says the quadrature summed over the grid's half rule.
+    """
 
     code: int
     results: dict
     grid: SphericalGrid | None = None
     rows: list[list | tuple] | None = None
+    half: bool = False
 
 
 class _UsageError(QuermassError):
@@ -259,7 +267,7 @@ def cmd_vk(cfg: dict) -> _Outcome:
         print("warning: Q[h] was not positive definite at some node", file=sys.stderr)
     rows = [["n", "k", "value", "method", "error_estimate"],
             [n, k, result.value, result.method, result.error_estimate]]
-    return _Outcome(_EXIT_OK, asdict(result), grid, rows)
+    return _Outcome(_EXIT_OK, asdict(result), grid, rows, half=True)
 
 
 def cmd_concavity(cfg: dict) -> _Outcome:
@@ -279,7 +287,7 @@ def cmd_concavity(cfg: dict) -> _Outcome:
     rows = [["s", "f_k", "f_k_prime", "f_k_second", "H"],
             *zip(report.s_values, report.f_values, report.fprime_values,
                  report.fsecond_values, report.concavity_values)]
-    return _Outcome(code, asdict(report), grid, rows)
+    return _Outcome(code, asdict(report), grid, rows, half=True)
 
 
 def cmd_thresholds(cfg: dict) -> _Outcome:
@@ -380,7 +388,7 @@ def cmd_ibp_check(cfg: dict) -> _Outcome:
           f"(tol {cfg['tol']:g}) -> {'ok' if ok else 'FAIL'}")
     results = {**asdict(result), "tolerance": cfg["tol"]}
     rows = [["n", "k", "seed", *results], [n, k, cfg["seed"], *results.values()]]
-    return _Outcome(_EXIT_OK if ok else _EXIT_NEGATIVE, results, grid, rows)
+    return _Outcome(_EXIT_OK if ok else _EXIT_NEGATIVE, results, grid, rows, half=True)
 
 
 # -- the option table -------------------------------------------------------
@@ -473,7 +481,7 @@ def main(argv=None) -> int:
     except QuermassError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write_report(args.json, args.command, cfg, outcome.results, outcome.grid)
+    _write_report(args.json, args.command, cfg, outcome.results, outcome.grid, outcome.half)
     _write_csv(args.out, outcome.rows)
     return outcome.code
 

@@ -35,6 +35,13 @@ take S_r(Q[h]) and T_r(Q[h]) from one Faddeev-LeVerrier pass,
 ``_cofactor_batch``, stopped at the order r they read (through
 ``_curvature`` from a support jet, or, along a variation path, on Q in
 closed form in s); V_k and f_k decide Q[h] > 0 with ``_pd_violation``.
+
+Smooth bodies are origin-symmetric, so h S_{k-1}(Q[h]) is even, and V_k
+(with its coarse companion), f_k and the integration-by-parts check sum
+over the grid's half rule (``SphericalGrid.half``): one node of each
+antipodal pair at twice its weight, half the work.  Its row i is full-grid
+node i, so errors name full-grid nodes.  The Christoffel residual returns
+per-node values and stays on the full grid.
 """
 
 from __future__ import annotations
@@ -67,29 +74,32 @@ def _check_symmetric(A: np.ndarray, r: int, lo: int) -> np.ndarray:
     return A
 
 
-def _fl_step(AB: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """One Faddeev-LeVerrier step from AB = A B_j: returns (S_j, B_{j+1}) with
+def _fl_step(AB: np.ndarray, j: int) -> np.ndarray:
+    """S_j = tr(A B_j) / j, the output of Faddeev-LeVerrier step j.
 
-        S_j = tr(A B_j) / j,  B_{j+1} = S_j I - A B_j.
-
-    The step is linear in A B_j, so applied to d(A B_j) it gives dS_j and
-    dB_{j+1}.
+    It is linear in A B_j, so applied to d(A B_j) it gives dS_j.
     """
-    s = np.einsum("mii->m", AB) / j
-    return s, s[:, None, None] * np.eye(AB.shape[-1]) - AB
+    return np.einsum("mii->m", AB) / j
+
+
+def _fl_next(S: np.ndarray, AB: np.ndarray) -> np.ndarray:
+    """B_{j+1} = S_j I - A B_j; linear too, so (dS_j, d(A B_j)) give dB_{j+1}."""
+    return S[:, None, None] * np.eye(AB.shape[-1]) - AB
 
 
 def _elem_sym_all_batch(A: np.ndarray) -> np.ndarray:
     """S_0..S_N for a batch of matrices, shape (m, N, N) -> (m, N + 1).
 
-    Faddeev-LeVerrier steps from B_1 = I.
+    Faddeev-LeVerrier steps from B_1 = I, so A B_1 = A.
     """
     m, N, _ = A.shape
     out = np.empty((m, N + 1))
     out[:, 0] = 1.0
-    B = np.broadcast_to(np.eye(N), A.shape)
+    AB = A
     for r in range(1, N + 1):
-        out[:, r], B = _fl_step(A @ B, r)
+        out[:, r] = _fl_step(AB, r)
+        if r < N:
+            AB = A @ _fl_next(out[:, r], AB)
     return out
 
 
@@ -102,17 +112,17 @@ def elem_sym(r: int, A: np.ndarray) -> float:
 def _cofactor_batch(A: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """(S_r, T_r) for a batch (m, N, N): shapes (m,) and (m, N, N).
 
-    r Faddeev-LeVerrier steps from B_1 = I: T_r = B_r is the input of step
-    r and S_r its output (T_1 is a read-only view of I); r = 0 gives S_0 = 1
-    and T_0 = 0.
+    r Faddeev-LeVerrier steps from B_1 = I (so A B_1 = A): T_r = B_r is the
+    input of step r and S_r its output, and B_{r+1} is never formed (T_1 is
+    a read-only view of I); r = 0 gives S_0 = 1 and T_0 = 0.
     """
     if r == 0:
         return np.ones(len(A)), np.zeros(A.shape)
-    B = np.broadcast_to(np.eye(A.shape[-1]), A.shape)
-    for j in range(1, r + 1):
-        T = B
-        S, B = _fl_step(A @ B, j)
-    return S, T
+    T, AB = np.broadcast_to(np.eye(A.shape[-1]), A.shape), A
+    for j in range(1, r):
+        T = _fl_next(_fl_step(AB, j), AB)
+        AB = A @ T
+    return _fl_step(AB, r), T
 
 
 def cofactor(r: int, A: np.ndarray) -> np.ndarray:
@@ -129,15 +139,18 @@ def _second_cofactor_batch(A: np.ndarray, r: int, X: np.ndarray) -> np.ndarray:
     """Contractions <S_r^{ij,kl}(A), X_kl> = d/de T_r(A + e X) at e = 0.
 
     A has shape (m, N, N) and X, symmetric, (N, N) or (m, N, N).  Forward
-    mode through the steps of ``_cofactor_batch`` from dB_1 = 0, with
-    d(A B_j) = X B_j + A dB_j; exact, and zero for r <= 1.  Returns (m, N, N).
+    mode through the steps of ``_cofactor_batch`` from B_1 = I, dB_1 = 0,
+    with d(A B_j) = X B_j + A dB_j (so X at j = 1); exact, and zero for
+    r <= 1.  Returns (m, N, N).
     """
-    B = np.broadcast_to(np.eye(A.shape[-1]), A.shape)
     dB = np.zeros(A.shape)
+    AB, dAB = A, np.broadcast_to(X, A.shape)
     for j in range(1, r):
-        dAB = X @ B + A @ dB
-        _, B = _fl_step(A @ B, j)
-        _, dB = _fl_step(dAB, j)
+        S, dS = _fl_step(AB, j), _fl_step(dAB, j)
+        dB = _fl_next(dS, dAB)
+        if j + 1 < r:
+            B = _fl_next(S, AB)
+            AB, dAB = A @ B, X @ B + A @ dB
     return dB
 
 
@@ -164,7 +177,11 @@ def second_cofactor(r: int, A: np.ndarray) -> np.ndarray:
 
 def _check_finite(what: str, nodes: np.ndarray, *arrays: np.ndarray) -> None:
     """EvaluationError naming the first node, and its point, where an entry of
-    one of the arrays (each with one leading row per node) is not finite."""
+    one of the arrays (each with one leading row per node) is not finite.
+
+    On a grid's half rule row i is full-grid node i, so the name holds there
+    too; for even fields it is the first bad node of the full grid.
+    """
     finite = np.all([np.isfinite(a).reshape(len(nodes), -1).all(axis=1) for a in arrays], axis=0)
     if not finite.all():
         bad = int(np.argmin(finite))
@@ -183,19 +200,29 @@ def _curvature(jet: calculus.Jet, nodes: np.ndarray, frames: np.ndarray, r: int)
     return (h, Q) + _cofactor_batch(Q, r)
 
 
+#: Least eigenvalues within this relative distance of the least one tie.
+EIGENVALUE_TIE = 1e-9
+
+
 def _pd_violation(Q: np.ndarray) -> tuple[int, float] | None:
     """None if every matrix of the finite batch Q is positive definite.
 
     One batched Cholesky decides; only when it fails does ``eigvalsh`` run,
     to confirm and to return (index, least eigenvalue) of the worst matrix.
+    The index is the lowest among the matrices whose least eigenvalue ties
+    with the least (within EIGENVALUE_TIE), so a symmetric ring of equal
+    matrices is named independently of last-ulp rounding; on a half rule it
+    is the lowest full-grid index of the tie set, as in ``_check_finite``.
     """
     try:
         np.linalg.cholesky(Q)
         return None
     except np.linalg.LinAlgError:
         lo = np.linalg.eigvalsh(Q)[:, 0]
-    bad = int(np.argmin(lo))
-    return None if lo[bad] > 0.0 else (bad, float(lo[bad]))
+    least = float(lo.min())
+    if least > 0.0:
+        return None
+    return int(np.flatnonzero(lo <= least - EIGENVALUE_TIE * least)[0]), least
 
 
 @dataclass(frozen=True)
@@ -210,9 +237,11 @@ class IntrinsicVolumeResult:
 
 
 def _vk_integral(body: Body, k: int, grid: SphericalGrid):
-    h, Q, S, _ = _curvature(body.support_jet(grid.nodes), grid.nodes, grid.frames, k - 1)
+    """(V_k, Q > 0 everywhere) on the grid's half rule."""
+    rule = grid.half
+    h, Q, S, _ = _curvature(body.support_jet(rule.nodes), rule.nodes, rule.frames, k - 1)
     n = grid.dimension
-    value = float(np.dot(grid.weights, h * S)) / (k * unit_ball_volume(n - k))
+    value = float(np.dot(rule.weights, h * S)) / (k * unit_ball_volume(n - k))
     return value, _pd_violation(Q) is None
 
 

@@ -23,9 +23,24 @@ in R^n.  Three constructions are provided:
     to the exact surface area.  Error is statistical, O(1/sqrt(N)).
 
 Every grid is closed under x -> -x exactly: node sets are built from one
-half and mirrored by IEEE negation, so odd integrands cancel to rounding.
+half and mirrored by IEEE negation, so odd integrands cancel to rounding,
+and antipodal nodes carry equal weights and equal tangent frames.
 Nodes, weights and per-node tangent frames are immutable after
 construction and a grid is reproducible from (n, resolution, method, seed).
+
+Every grid stores one node of each +/-x pair in its first half.  The
+icosphere, monte-carlo and circle rules are built as (half, -half); a
+product-angular node (t_i, r_i omega_j) has its antipode at
+(res - 1 - i, antipode of j), since the Jacobi nodes are exact +/- pairs
+in ascending order, so the first half of the t_i (with, for odd res, the
+middle t = 0 times the first half of the sub-grid) holds one of each pair.
+
+Every integrand of the curvature quadratures (V_k, f_k and its derivatives,
+the integration-by-parts identities) is even, because every smooth body
+and every test function is.  So those quadratures sum over
+``SphericalGrid.half``, the first half of the nodes at twice their weights:
+half the work for the same integral, and a row there is the same node of
+the full grid.
 """
 
 from __future__ import annotations
@@ -34,6 +49,7 @@ import hashlib
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -244,6 +260,24 @@ def _householder_frames(nodes: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class HalfRule:
+    """One node of each antipodal pair of a grid, at twice its weight.
+
+    Row i is node i of the full grid, the member of its pair with the lower
+    index.  For an even integrand, sum(weights * f(nodes)) is the full
+    grid's sum.
+    """
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    frames: np.ndarray
+
+    @property
+    def node_count(self) -> int:
+        return self.nodes.shape[0]
+
+
+@dataclass(frozen=True)
 class SphericalGrid:
     """Immutable quadrature grid on S^{n-1} with cached tangent frames."""
 
@@ -267,6 +301,14 @@ class SphericalGrid:
     def area(self) -> float:
         """Sum of weights; approximates (for product rules, equals) |S^{n-1}|."""
         return float(np.sum(self.weights))
+
+    @cached_property
+    def half(self) -> HalfRule:
+        """The antipodal half rule (see the module docstring), built on first use."""
+        half = self.node_count // 2
+        weights = 2.0 * self.weights[:half]
+        weights.setflags(write=False)
+        return HalfRule(self.nodes[:half], weights, self.frames[:half])
 
     def fingerprint(self) -> str:
         """SHA-256 over node and weight bytes; identifies the grid in reports."""
@@ -371,6 +413,15 @@ def integrate(grid: SphericalGrid, f) -> float:
     return float(np.dot(grid.weights, vals))
 
 
+def _power(x: np.ndarray, e: int) -> np.ndarray:
+    """x^e as a product of e factors, so that (-x)^e = (-1)^e x^e bitwise;
+    numpy's vectorized pow is not sign-symmetric in the last ulp."""
+    out = x
+    for _ in range(e - 1):
+        out = out * x
+    return out
+
+
 def _even_total_degree(exponents: tuple[int, ...]) -> bool:
     return sum(exponents) % 2 == 0
 
@@ -380,8 +431,11 @@ class TestFunction:
     """Even polynomial test function on the sphere.
 
     Represented as a list of monomial terms (coefficient, exponent tuple);
-    every term must have even total degree, which makes psi(-x) = psi(x)
-    exact in floating point.  ``amplitude`` scales the whole function.
+    every term must have even total degree, and powers are products of
+    factors, which makes psi(-x) = psi(x) exact in floating point, with the
+    jet's Hessian even and its gradient odd bitwise too.  That evenness is
+    what lets the curvature quadratures sum over a grid's half rule.
+    ``amplitude`` scales the whole function.
     """
 
     __test__ = False  # keep pytest from collecting this as a test class
@@ -412,7 +466,7 @@ class TestFunction:
             term = np.full(X.shape[0], coeff)
             for axis, e in enumerate(exps):
                 if e:
-                    term = term * X[:, axis] ** e
+                    term = term * _power(X[:, axis], e)
             out += term
         out *= self.amplitude
         return out
@@ -446,7 +500,7 @@ class TestFunction:
         for e, i in monomials.items():
             for a, p in enumerate(e):
                 if p:
-                    M[i] *= X[:, a] ** p
+                    M[i] *= _power(X[:, a], p)
         D = self.amplitude * (C @ M)
         return Jet(value, D[:n].T, D[n:].T.reshape(m, n, n))
 

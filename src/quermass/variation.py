@@ -21,6 +21,10 @@ e^{s psi} (U_0 + s U_1 + s^2 U_2) with per-path coefficients U_j, and
 Q[psi h_s], Q[psi^2 h_s] are its first two s-derivatives, so no jet is
 built per s.  One routine evaluates all four from the path's cached record
 of h_s, and a concavity scan takes f_k, f_k' and f_k'' from one call per s.
+The body and psi are even, so every integrand here is, and the path and
+``ibp_check`` sum over the grid's half rule, one node of each antipodal
+pair at twice its weight; the Poincare check, the Christoffel residual and
+centering stay on the full grid.
 
 The p-Brunn-Minkowski inequality for V_k along geodesics of the 0-sum is
 log-concavity of f_k in s, i.e. H(s) = f_k f_k'' - (f_k')^2 <= 0.  For
@@ -76,6 +80,15 @@ def _jet(f, X: np.ndarray, what: str) -> calculus.Jet:
     return jet
 
 
+def _even_jet(f, X: np.ndarray, what: str) -> calculus.Jet:
+    """``_jet`` of a TestFunction, even by its constructor, as a sum over the
+    half rule needs; DomainError for any other field."""
+    if not isinstance(f, TestFunction):
+        raise DomainError(f"{what} sums over one node of each antipodal pair, so its fields "
+                          f"must be TestFunctions, which are even; got {type(f).__name__}")
+    return _jet(f, X, what)
+
+
 @dataclass
 class VariationPath:
     """The family h_s = h e^{s psi} for a smooth base body.
@@ -89,9 +102,12 @@ class VariationPath:
 
     The coefficients come once from the exact jets of h and psi, so each new
     s costs one exp(s psi) and a few array operations, and every Q is exact.
-    Construction verifies that Q[h_s] is positive definite at every grid
-    node for s in {-2, -1, 0, 1, 2} (else PathValidityError); a non-finite
-    psi, h_s or Q[h_s] raises EvaluationError.  The record of h_s
+    The body and psi (a TestFunction, else DomainError) are even, so every
+    per-node array lives on the grid's half rule (``grid.half``, one node
+    of each +/-x pair at twice its weight) and has ``grid.node_count // 2``
+    rows, row i being full-grid node i.  Construction verifies that Q[h_s] is positive definite at every
+    grid node for s in {-2, -1, 0, 1, 2} (else PathValidityError); a
+    non-finite psi, h_s or Q[h_s] raises EvaluationError.  The record of h_s
     (e^{s psi}, h, Q, S_{k-1}(Q) and T_{k-1}(Q)) is cached for s = 0, which
     fixes the tolerance of a scan, and for the latest s, which a new s drops
     before its own record is built.
@@ -109,8 +125,8 @@ class VariationPath:
     def __post_init__(self):
         require_smooth(self.body, "VariationPath")
         _check_order("k", self.k, 1, self.grid.dimension)
-        nodes, frames = self.grid.nodes, self.grid.frames
-        psi = _jet(self.psi, nodes, "VariationPath")
+        nodes, frames = self.grid.half.nodes, self.grid.half.frames
+        psi = _even_jet(self.psi, nodes, "VariationPath")
         body = self.body.support_jet(nodes)
         self._psi, self._h = psi.value, body.value
         t_psi = np.einsum("mij,mj->mi", frames, psi.grad)
@@ -134,7 +150,7 @@ class VariationPath:
             e = np.exp(key * self._psi)
             U0, U1, U2 = self._u
             h, Q = self._h * e, e[:, None, None] * (U0 + key * (U1 + key * U2))
-            _check_finite("h or Q[h]", self.grid.nodes, h, Q)
+            _check_finite("h or Q[h]", self.grid.half.nodes, h, Q)
             dens, cof = _cofactor_batch(Q, self.k - 1)
             violation = _pd_violation(Q)
             if violation is not None:
@@ -182,7 +198,7 @@ def _derivatives(path: VariationPath, s: float, order: int) -> list[float]:
     """
     s = _check_s(s)
     data = path._node_data(s)
-    w, psi = path.grid.weights, path._psi
+    w, psi = path.grid.half.weights, path._psi
     h, dens, Q, cof = data["h"], data["dens"], data["Q"], data["cof"]
     out = [float(np.dot(w, h * dens)) / path.k, float(np.dot(w, psi * h * dens))]
     if order < 2:
@@ -384,13 +400,15 @@ def ibp_check(body: Body, phi, phibar, psi, k: int, grid: SphericalGrid) -> IbpR
     <S_k^{ij,rs}(Q[h]), Q[phi]_rs>.  Here k indexes S_k directly,
     1 <= k <= n - 1.  Every Q is exact from the jets of the body and of
     phi, phibar and psi, which must have them; a non-finite jet or Q[h]
-    raises EvaluationError.
+    raises EvaluationError.  Body and fields are even (the fields must be
+    TestFunctions, else DomainError), so both sides are summed on the
+    grid's half rule.
     """
     require_smooth(body, "ibp_check")
     _check_order("k", k, 1, grid.dimension - 1)
-    w, nodes, frames = grid.weights, grid.nodes, grid.frames
+    w, nodes, frames = grid.half.weights, grid.half.nodes, grid.half.frames
     _, Qh, _, cof = _curvature(body.support_jet(nodes), nodes, frames, k)
-    jphi, jphibar, jpsi = (_jet(f, nodes, "ibp_check") for f in (phi, phibar, psi))
+    jphi, jphibar, jpsi = (_even_jet(f, nodes, "ibp_check") for f in (phi, phibar, psi))
     qphi, qphibar, qpsi = (calculus.q_from_jet(j, nodes, frames) for j in (jphi, jphibar, jpsi))
     vphi, vphibar, vpsi = jphi.value, jphibar.value, jpsi.value
 

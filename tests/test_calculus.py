@@ -99,18 +99,43 @@ def _path_fields(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(_path_fields())
 def test_path_q_matches_finite_difference_oracle(case):
-    # Q[psi^j h e^{s psi}] of a VariationPath against tangent_hessian of the
-    # same field, within the oracle's own error estimate
+    # Q[psi^j h e^{s psi}] of a VariationPath (on the grid's half rule)
+    # against tangent_hessian of the same field, within the oracle's own
+    # error estimate
     n, psi, body, s, j = case
     grid = build_grid(n, 24, "monte-carlo", seed=n)
     path = VariationPath(body, psi, 1, grid)
     Q = path._q_derivatives(s, j)[j]
+    rule = grid.half
 
     def field(X):
         return psi(X) ** j * body.support_values(X) * np.exp(s * psi(X))
 
-    Q_fd, err = tangent_hessian(field, grid.nodes, grid.frames)
+    Q_fd, err = tangent_hessian(field, rule.nodes, rule.frames)
     assert np.all(np.abs(Q - Q_fd).max(axis=(1, 2)) <= err + 1e-9)
+
+
+@st.composite
+def _even_fields(draw):
+    n = draw(st.integers(2, 6))
+    return n, draw(_even_polynomials(n, 1.0)), draw(st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_even_fields())
+def test_smooth_bodies_and_test_functions_are_even(case):
+    # the contract behind the half-rule quadratures: at -x, the value and the
+    # Hessian of a test function's jet and of each smooth body's support jet
+    # are those at x, and the gradient is negated, all bitwise
+    n, psi, s = case
+    X = np.random.default_rng(n).standard_normal((50, n))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    assert np.array_equal(psi(-X), psi(X))
+    for jet in (psi.jet, Ball(1.7).support_jet, LogPerturbedBall(psi, s).support_jet):
+        at, anti = jet(X), jet(-X)
+        assert np.array_equal(anti.value, at.value)
+        assert np.array_equal(anti.grad, -at.grad)
+        assert np.array_equal(anti.hess, at.hess)
 
 
 def _jet_product(a, b):
@@ -126,15 +151,17 @@ def _jet_product(a, b):
 @given(_path_fields())
 def test_path_q_matches_jet_product_route(case):
     # the path's closed form in s, e^{s psi} (U_0 + s U_1 + s^2 U_2) and its
-    # s-derivatives, against q_from_jet of the jet of psi^j h e^{s psi}
+    # s-derivatives, against q_from_jet of the jet of psi^j h e^{s psi}, on
+    # the grid's half rule
     n, psi, body, s, j = case
     grid = build_grid(n, 24, "monte-carlo", seed=n)
     path = VariationPath(body, psi, 1, grid)
-    psi_jet = psi.jet(grid.nodes)
-    jet = _jet_product(body.support_jet(grid.nodes), psi_jet.scaled(s).exp())
+    nodes, frames = grid.half.nodes, grid.half.frames
+    psi_jet = psi.jet(nodes)
+    jet = _jet_product(body.support_jet(nodes), psi_jet.scaled(s).exp())
     for _ in range(j):
         jet = _jet_product(psi_jet, jet)
-    Q_jet = q_from_jet(jet, grid.nodes, grid.frames)
+    Q_jet = q_from_jet(jet, nodes, frames)
     Q = path._q_derivatives(s, j)[j]
     assert np.abs(Q - Q_jet).max() <= 1e-12 * np.abs(Q_jet).max()
 

@@ -5,7 +5,7 @@ import math
 import pytest
 from numpy.testing import assert_allclose
 
-from quermass import __version__
+from quermass import __version__, build_grid
 from quermass.cli import main
 
 
@@ -63,6 +63,23 @@ def test_vk_quadrature_report(tmp_path, capsys):
     assert grid["method"] == "product-angular"
     assert grid["node_count"] == 200
     assert len(grid["fingerprint"]) == 64
+
+
+@pytest.mark.parametrize("argv, evaluated", [
+    (["vk", "--n", "4"], 512),
+    (["concavity", "--n", "4", "--s-steps", "3"], 512),
+    (["ibp-check", "--n", "4", "--k", "1"], 512),
+    (["christoffel", "--n", "4"], 1024),
+    (["poincare", "--n", "4"], 1024),
+])
+def test_report_says_how_many_nodes_were_evaluated(argv, evaluated, tmp_path, capsys):
+    # the even quadratures run on one node of each antipodal pair; node_count
+    # and the fingerprint stay those of the full grid
+    report = tmp_path / "report.json"
+    assert main(argv + ["--json", str(report)]) == 0
+    grid = json.loads(report.read_text())["grid"]
+    assert grid["node_count"] == 1024 and grid["evaluated_nodes"] == evaluated
+    assert grid["fingerprint"] == build_grid(4, 8, "product-angular").fingerprint()
 
 
 def test_vk_warns_when_q_not_positive_definite(tmp_path, capsys):
@@ -443,8 +460,9 @@ def test_unreadable_config_exits_2(content, tmp_path, capsys):
     (["poincare", "--psi", "foo"], "unrecognized psi spec"),
     # a psi whose dimension is not the run's n used to end in an IndexError,
     # or, with zero extra exponents, to run on the first coordinates only
+    # (the path evaluates psi on the 196 nodes of the grid's half rule)
     (["concavity", "--n", "3", "--psi", '{"dimension": 4, "terms": [[1.0, [0, 0, 0, 2]]]}'],
-     "dimension 4 needs an (m, 4) node array, got shape (392, 3)"),
+     "dimension 4 needs an (m, 4) node array, got shape (196, 3)"),
     (["concavity", "--n", "3", "--psi", '{"dimension": 4, "terms": [[1.0, [2, 0, 0, 0]]]}'],
      "dimension 4 needs an (m, 4) node array"),
     (["poincare", "--n", "3", "--psi", '{"dimension": 4, "terms": [[1.0, [0, 0, 0, 2]]]}'],

@@ -153,6 +153,44 @@ def test_cofactor_identity_matrix_exact():
             assert np.array_equal(cofactor(r, np.eye(N)), expected)
 
 
+def _fl_untrimmed(A, r, X=None):
+    """The Faddeev-LeVerrier loop from B_1 = I with every A B_j a product and
+    every B_{j+1} formed: (S_0..S_N, B_r), or dB_r for a direction X."""
+    I = np.eye(A.shape[-1])
+    B, dB = np.broadcast_to(I, A.shape), np.zeros(A.shape)
+    S = [np.ones(len(A))]
+    for j in range(1, A.shape[-1] + 1):
+        if j == r:
+            T, dT = B, dB
+        if X is not None:
+            dAB = X @ B + A @ dB
+            dS = np.einsum("mii->m", dAB) / j
+            dB = dS[:, None, None] * I - dAB
+        AB = A @ B
+        S.append(np.einsum("mii->m", AB) / j)
+        B = S[-1][:, None, None] * I - AB
+    if r == 0:
+        T = dT = np.zeros(A.shape)
+    return np.stack(S, axis=1), (T if X is None else dT)
+
+
+def test_trimmed_faddeev_leverrier_passes_are_bitwise_the_untrimmed_loop(rng):
+    # starting from A B_1 = A instead of A @ I, and never forming the unread
+    # B_{r+1}, changes no bit of S_r, T_r or the second-cofactor contraction
+    for N in (1, 2, 3, 4, 5):
+        A = np.stack([_random_symmetric(rng, N) for _ in range(9)])
+        S_all, _ = _fl_untrimmed(A, 0)
+        assert intrinsic._elem_sym_all_batch(A).tobytes() == S_all.tobytes()
+        for r in range(N + 1):
+            S, T = intrinsic._cofactor_batch(A, r)
+            assert S.tobytes() == S_all[:, r].copy().tobytes()
+            assert np.ascontiguousarray(T).tobytes() == _fl_untrimmed(A, r)[1].tobytes()
+            for X in (_random_symmetric(rng, N), np.stack([_random_symmetric(rng, N)
+                                                           for _ in range(9)])):
+                want = _fl_untrimmed(A, r, np.broadcast_to(X, A.shape))[1]
+                assert _second_cofactor_batch(A, r, X).tobytes() == want.tobytes()
+
+
 def test_cofactor_batch_stops_the_elem_sym_pass_at_r(rng):
     # S_r of the pass stopped at r is bitwise column r of the full pass, and
     # T_0 = 0
@@ -433,15 +471,18 @@ class _NanHessianAt(Body):
         return jet
 
 
-def test_non_finite_support_raises_evaluation_error(grid3):
+def test_non_finite_support_raises_evaluation_error(grid3, grid5):
     # NaN in h (a NaN log-perturbation) or in one entry of Q names the first
-    # bad node instead of returning V_k = nan
+    # bad node instead of returning V_k = nan.  V_k sums over the grid's half
+    # rule, whose row i is full-grid node i: _NanHessianAt(row) poisons that
+    # row of the half rule, and the error names the same full-grid node
     nan_body = LogPerturbedBall(TestFunction.coordinate_harmonic(3), float("nan"))
-    for body, node in ((nan_body, 0), (_NanHessianAt(7), 7)):
+    for grid, body, node in ((grid3, nan_body, 0), (grid3, _NanHessianAt(7), 7),
+                             (grid5, _NanHessianAt(-1), grid5.node_count // 2 - 1)):
         with pytest.raises(EvaluationError) as exc_info:
-            vk_quadrature(body, 2, grid3)
+            vk_quadrature(body, 2, grid)
         assert exc_info.value.node_index == node
-        assert_allclose(exc_info.value.point, grid3.nodes[node], rtol=0, atol=0)
+        assert_allclose(exc_info.value.point, grid.nodes[node], rtol=0, atol=0)
     with pytest.raises(EvaluationError) as exc_info:
         intrinsic._curvature(nan_body.support_jet(grid3.nodes), grid3.nodes, grid3.frames, 1)
     assert exc_info.value.node_index == 0
@@ -472,6 +513,22 @@ def test_pd_violation_agrees_with_least_eigenvalue(N):
     # on the whole batch: the worst matrix and its least eigenvalue
     assert _pd_violation(Q) == (int(np.argmin(lo)), float(lo.min()))
     assert _pd_violation(Q[lo > 0.0]) is None
+
+
+def test_pd_violation_names_the_lowest_index_of_a_tie():
+    # matrices whose least eigenvalue agrees within EIGENVALUE_TIE (a
+    # symmetric ring of nodes, up to rounding) are one tie set, named by its
+    # lowest index whichever of them rounds lowest
+    rng = np.random.default_rng(5)
+    lam = np.array([-1.0, -0.5, -1.0 + 1e-14, 2.0, -1.0 - 1e-14, -1.0 + 1e-6])
+    V, _ = np.linalg.qr(rng.standard_normal((6, 3, 3)))
+    spectra = np.column_stack([lam, np.full(6, 3.0), np.full(6, 4.0)])
+    Q = (V * spectra[:, None, :]) @ np.swapaxes(V, 1, 2)
+    least = np.linalg.eigvalsh(Q)[:, 0].min()
+    for order in ([0, 1, 2, 3, 4, 5], [4, 1, 3, 5, 2, 0], [3, 5, 2, 0, 1, 4]):
+        bad, lo = _pd_violation(Q[order])
+        assert bad == min(order.index(i) for i in (0, 2, 4))
+        assert lo == least
 
 
 def test_vk_monotone_under_inclusion(grid3):

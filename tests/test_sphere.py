@@ -64,6 +64,44 @@ def test_icosphere_antipodal_closure():
     assert np.array_equal(g.weights[m // 2:], g.weights[: m // 2])
 
 
+def _half_rule_cases():
+    for n in range(2, 7):
+        yield from ((n, res, "product-angular") for res in (3, 4))
+        yield from ((n, res, "monte-carlo") for res in (7, 8, 9))
+    yield from ((3, res, "icosphere-n3") for res in (3, 4))
+
+
+@pytest.mark.parametrize("n,res,method", list(_half_rule_cases()))
+def test_half_rule_holds_one_node_of_each_antipodal_pair(n, res, method):
+    g = build_grid(n, res, method, seed=n)
+    half, m = g.half, g.node_count
+    # the antipode of each node, by bytes; +0.0 normalizes signed zeros
+    where = {(x + 0.0).tobytes(): i for i, x in enumerate(g.nodes)}
+    assert len(where) == m
+    anti = np.array([where[((-x) + 0.0).tobytes()] for x in g.nodes])
+    assert np.array_equal(anti[anti], np.arange(m)) and np.all(anti != np.arange(m))
+    # the first half holds exactly one node of each pair, at twice its weight
+    assert half.node_count == m // 2
+    assert np.all(anti[: m // 2] >= m // 2)
+    assert np.array_equal(g.weights[anti], g.weights)
+    assert np.array_equal(g.frames[anti], g.frames)
+    assert np.array_equal(half.nodes, g.nodes[: m // 2])
+    assert np.array_equal(half.frames, g.frames[: m // 2])
+    assert np.array_equal(half.weights, 2.0 * g.weights[: m // 2])
+    assert_allclose(half.weights.sum(), g.area, rtol=1e-13)
+
+
+def test_half_rule_is_built_on_first_use():
+    g = build_grid(4, 5, "product-angular")
+    fingerprint = g.fingerprint()
+    assert "half" not in vars(g)
+    half = g.half
+    assert g.half is half
+    assert g.node_count == 2 * 5 ** 3 and g.fingerprint() == fingerprint
+    for arr in (half.nodes, half.weights, half.frames):
+        assert not arr.flags.writeable
+
+
 def test_odd_functions_cancel(grid4):
     val = integrate(grid4, lambda X: X[:, 0] ** 3 * X[:, 1] ** 2)
     assert abs(val) < 1e-14

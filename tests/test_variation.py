@@ -35,6 +35,7 @@ from quermass import (
 )
 from quermass import bodies, calculus, intrinsic
 from quermass.calculus import Jet
+from quermass.sphere import HalfRule
 from quermass.variation import _derivatives
 
 
@@ -372,6 +373,69 @@ def test_scan_rejects_empty_s_values(grid3):
         concavity_scan(path, [])
 
 
+# -- the antipodal half rule ------------------------------------------------
+
+def _full_rule(grid):
+    """A copy of the grid whose half rule is every node at its own weight, so
+    the half-rule quadratures sum over the full arrays."""
+    full = build_grid(grid.dimension, grid.resolution, grid.method, seed=grid.seed)
+    vars(full)["half"] = HalfRule(full.nodes, full.weights, full.frames)
+    return full
+
+
+@pytest.mark.parametrize("n,res,method", [(3, 13, "product-angular"), (4, 8, "product-angular"),
+                                          (5, 5, "product-angular"), (4, 2000, "monte-carlo")])
+def test_half_rule_sums_equal_full_grid_sums(n, res, method, rng):
+    # f_k to f_k''', scan verdicts, V_k and the IBP residuals on one node per
+    # antipodal pair agree with the sums over every node to rounding
+    grid = build_grid(n, res, method, seed=1)
+    full = _full_rule(grid)
+    for base in (Ball(1.0), LogPerturbedBall(_centered_quadratic(rng, n, 0.1), 0.5)):
+        for k in range(1, n + 1):
+            psi = _centered_quadratic(rng, n, 0.05) if k % 2 else TestFunction.zonal_degree4(n)
+            paths = [VariationPath(base, psi.scaled(0.05), k, g) for g in (grid, full)]
+            for s in (-1.3, 0.0, 0.8):
+                got, want = (_derivatives(p, s, 3) for p in paths)
+                for a, b in zip(got, want):
+                    assert abs(a - b) <= 1e-13 * max(abs(b), want[0])
+            got, want = (concavity_scan(p) for p in paths)
+            assert got.verdict == want.verdict
+            got, want = (vk_quadrature(base, k, g) for g in (grid, full))
+            assert abs(got.value - want.value) <= 1e-13 * want.value
+            assert got.q_positive_definite == want.q_positive_definite
+        for k in range(1, n):
+            fields = [_centered_quadratic(rng, n, 0.1) for _ in range(3)]
+            got, want = (ibp_check(base, *fields, k, g) for g in (grid, full))
+            assert abs(got.residual_first - want.residual_first) <= 1e-13 * want.scale_first
+            assert abs(got.residual_second - want.residual_second) <= 1e-13 * want.scale_second
+
+
+def test_path_arrays_have_one_row_per_antipodal_pair(grid5):
+    psi = TestFunction.zonal_degree4(5).scaled(0.05)
+    path = VariationPath(LogPerturbedBall(TestFunction.coordinate_harmonic(5), 0.1), psi, 3, grid5)
+    _derivatives(path, 0.4, 3)
+    assert path.grid.node_count == 4802
+    arrays = [path._psi, path._h, *path._u, *path._q_derivatives(0.4, 2)]
+    arrays += [a for record in path._cache.values() for a in record.values()]
+    assert {a.shape[0] for a in arrays} == {4802 // 2}
+
+
+def test_path_leaving_the_cone_names_the_lowest_node_of_a_tie(grid4):
+    # psi = 5 (x_1^2 - 1/4) leaves the cone at s = -2 on a ring of 256 nodes
+    # (the two t-rings next to the equator of the product grid) that share
+    # one least eigenvalue up to rounding; the lowest full-grid index is
+    # named, whichever node rounds lowest
+    psi = TestFunction.coordinate_harmonic(4).scaled(5.0)
+    with pytest.raises(PathValidityError) as exc_info:
+        VariationPath(Ball(1.0), psi, 3, grid4)
+    s = exc_info.value.s
+    jet = LogPerturbedBall(psi, s).support_jet(grid4.nodes)
+    lo = np.linalg.eigvalsh(calculus.q_from_jet(jet, grid4.nodes, grid4.frames))[:, 0]
+    ring = np.flatnonzero(np.abs(lo - lo.min()) <= 1e-12 * abs(lo.min()))
+    assert s == -2.0 and ring.size == 256
+    assert exc_info.value.node_index == ring[0]
+
+
 # -- sharpened Poincare -----------------------------------------------------
 
 def test_poincare_degree2_equality(grid3, grid4):
@@ -426,6 +490,17 @@ class _OddWithJet:
 def test_poincare_rejects_odd_field_with_jet(grid3):
     with pytest.raises(DomainError, match="even"):
         poincare_check(_OddWithJet(), grid3)
+
+
+def test_half_rule_sums_reject_fields_other_than_test_functions(grid3):
+    # an odd field would read as twice its half-grid sum: f_k'(0) of x_1
+    # would be about -12.6 instead of 0
+    psi = TestFunction.coordinate_harmonic(3).scaled(0.05)
+    with pytest.raises(DomainError, match="TestFunctions"):
+        VariationPath(Ball(1.0), _OddWithJet(), 2, grid3)
+    for fields in ((_OddWithJet(), psi, psi), (psi, _OddWithJet(), psi), (psi, psi, _OddWithJet())):
+        with pytest.raises(DomainError, match="TestFunctions"):
+            ibp_check(Ball(1.0), *fields, 1, grid3)
 
 
 # -- integration by parts ---------------------------------------------------
