@@ -27,7 +27,8 @@ outputs.
 
 Exit codes: 0 success (and affirmative outcome for check-style commands);
 1 runtime error (a bad or unreadable body or psi spec, an unsupported
-operation, any other package error); 2 usage error, including an
+operation such as a product-angular grid beyond its dimensions, any other
+package error); 2 usage error, including an unknown grid method, an
 unreadable --config file, an unknown key or bad value in it, a NaN or
 infinite float flag or value, and an option the run would ignore (a seed
 on a grid that takes none, any grid option on closed-form vk, --n or --k
@@ -53,7 +54,8 @@ from . import bodies as bodies_mod
 from . import counterexamples as cx
 from . import intrinsic, variation
 from .errors import QuermassError
-from .sphere import REFERENCE_RESOLUTION, SphericalGrid, TestFunction, build_grid
+from .sphere import (GRID_METHODS, REFERENCE_RESOLUTION, SphericalGrid, TestFunction,
+                     build_grid)
 
 _EXIT_OK = 0
 _EXIT_NEGATIVE = 3
@@ -118,13 +120,16 @@ def _make_grid(cfg: dict, seed_used_elsewhere: bool = False) -> SphericalGrid:
     grid is a usage error, unless the command uses it for something else.
     """
     n = cfg["n"]
-    method = cfg["grid_method"] or ("product-angular" if n <= 6 else "monte-carlo")
+    method = cfg["grid_method"] or ("product-angular" if n in REFERENCE_RESOLUTION
+                                    else "monte-carlo")
     if cfg["seed"] is not None and method != "monte-carlo" and not seed_used_elsewhere:
         raise _UsageError(f"seed {cfg['seed']} is set but the {method} grid takes no seed; "
                           f"only a monte-carlo grid does")
     res = cfg["grid_res"]
     if res is None:
-        res = REFERENCE_RESOLUTION.get(n, 4) if method != "monte-carlo" else 20000
+        # None only for a product rule outside the table, which build_grid
+        # rejects before it reads the resolution
+        res = 20000 if method == "monte-carlo" else REFERENCE_RESOLUTION.get(n)
     return build_grid(n, res, method, seed=cfg["seed"])
 
 
@@ -399,8 +404,9 @@ _BODY = _Option(str, "ball:1.0", "ball:R | box:a1,..,an | cube:i,j,.. | JSON | @
 _PSI = _Option(str, "x1sq", "x1sq | zonal4 | const[:c] | JSON | @file")
 _GRID = {
     "grid_res": _Option(int, None, "grid resolution (default: reference resolution for n)"),
-    "grid_method": _Option(str, None, "grid construction (default: product-angular "
-                                      "for n <= 6, else monte-carlo)"),
+    "grid_method": _Option(GRID_METHODS, None, "grid construction (default: product-angular "
+                                               f"for n <= {max(REFERENCE_RESOLUTION)}, "
+                                               "else monte-carlo)"),
     "seed": _Option(int, None, "seed of a monte-carlo grid"),
 }
 

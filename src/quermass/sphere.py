@@ -2,21 +2,15 @@
 
 A grid is a finite set of unit nodes x_j with positive weights w_j such that
 sum_j w_j f(x_j) approximates the surface integral of f over the unit sphere
-in R^n.  Three constructions are provided:
+in R^n.  Two constructions are provided:
 
 ``product-angular``
     Recursive polar parameterization x = (t, sqrt(1-t^2) * omega) with
     Gauss-Jacobi nodes in each polar variable (weight (1-t^2)^{(d-3)/2} at
     the level where d coordinates remain) and a uniform rule on the base
     circle.  Spectrally accurate for smooth integrands; exact for all
-    polynomials of total degree < 2*resolution.
-
-``icosphere-n3``
-    n = 3 only.  Geodesic subdivision of the icosahedron at a given
-    frequency; nodes are normalized face centroids, weights are the exact
-    spherical areas of the subdivided faces (Oosterom-Strackee formula).
-    Second-order accurate; useful for cross-checks, not for tight
-    tolerances.
+    polynomials of total degree < 2*resolution.  Built for the dimensions
+    of ``REFERENCE_RESOLUTION``.
 
 ``monte-carlo``
     Uniform random nodes (normalized Gaussians) with equal weights summing
@@ -29,7 +23,7 @@ Nodes, weights and per-node tangent frames are immutable after
 construction and a grid is reproducible from (n, resolution, method, seed).
 
 Every grid stores one node of each +/-x pair in its first half.  The
-icosphere, monte-carlo and circle rules are built as (half, -half); a
+monte-carlo and circle rules are built as (half, -half); a
 product-angular node (t_i, r_i omega_j) has its antipode at
 (res - 1 - i, antipode of j), since the Jacobi nodes are exact +/- pairs
 in ascending order, so the first half of the t_i (with, for odd res, the
@@ -56,14 +50,12 @@ import numpy as np
 from .calculus import Jet
 from .errors import ConfigurationError, DomainError, EvaluationError, NumericalError
 
-GRID_METHODS = ("product-angular", "icosphere-n3", "monte-carlo")
+GRID_METHODS = ("product-angular", "monte-carlo")
 
-#: Largest dimension for which the product-angular construction is allowed
-#: before node counts become impractical; use monte-carlo beyond it.
-MAX_PRODUCT_DIMENSION = 6
-
-#: Default resolutions giving effectively exact quadrature for the smooth
-#: integrands handled in this package, at manageable node counts.
+#: The dimensions with a product-angular grid, each with the default
+#: resolution that gives effectively exact quadrature for the smooth
+#: integrands handled in this package.  Beyond them node counts become
+#: impractical, and monte-carlo is the grid.
 REFERENCE_RESOLUTION = {2: 64, 3: 14, 4: 8, 5: 7, 6: 5}
 
 
@@ -124,77 +116,6 @@ def _product_rule(n: int, res: int) -> tuple[np.ndarray, np.ndarray]:
         nodes[block, 1:] = r[i] * sub_nodes
     weights = np.kron(wt, sub_w)
     return nodes, weights
-
-
-_GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
-
-_ICO_VERTS = np.array(
-    [
-        [-1, _GOLDEN, 0], [1, _GOLDEN, 0], [-1, -_GOLDEN, 0], [1, -_GOLDEN, 0],
-        [0, -1, _GOLDEN], [0, 1, _GOLDEN], [0, -1, -_GOLDEN], [0, 1, -_GOLDEN],
-        [_GOLDEN, 0, -1], [_GOLDEN, 0, 1], [-_GOLDEN, 0, -1], [-_GOLDEN, 0, 1],
-    ],
-    dtype=float,
-)
-
-_ICO_FACES = [
-    (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
-    (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
-    (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
-    (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
-]
-
-
-def _spherical_triangle_area(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
-    # Oosterom-Strackee: tan(E/2) = |det[a b c]| / (1 + a.b + b.c + c.a)
-    num = abs(np.dot(a, np.cross(b, c)))
-    den = 1.0 + np.dot(a, b) + np.dot(b, c) + np.dot(c, a)
-    return 2.0 * math.atan2(num, den)
-
-
-def _icosphere_half(freq: int) -> tuple[np.ndarray, np.ndarray]:
-    """Subdivide one face per antipodal pair; caller mirrors the result."""
-    verts = _ICO_VERTS / np.linalg.norm(_ICO_VERTS, axis=1, keepdims=True)
-    # Pair faces antipodally and keep one representative per pair.
-    anti = {}
-    for i, v in enumerate(verts):
-        dots = verts @ v
-        anti[i] = int(np.argmin(dots))
-    kept = []
-    seen: set[frozenset] = set()
-    for f in _ICO_FACES:
-        key = frozenset(f)
-        if key in seen:
-            continue
-        seen.add(key)
-        seen.add(frozenset(anti[i] for i in f))
-        kept.append(f)
-    assert len(kept) == 10
-    nodes = []
-    weights = []
-    for (ia, ib, ic) in kept:
-        A, B, C = verts[ia], verts[ib], verts[ic]
-        # Barycentric lattice points of the subdivided flat face, projected.
-        grid = {}
-        for a in range(freq + 1):
-            for b in range(freq + 1 - a):
-                c = freq - a - b
-                p = (a * A + b * B + c * C) / freq
-                grid[(a, b)] = p / np.linalg.norm(p)
-        for a in range(freq):
-            for b in range(freq - a):
-                # upward triangle
-                p0, p1, p2 = grid[(a, b)], grid[(a + 1, b)], grid[(a, b + 1)]
-                cen = p0 + p1 + p2
-                nodes.append(cen / np.linalg.norm(cen))
-                weights.append(_spherical_triangle_area(p0, p1, p2))
-                if a + b < freq - 1:
-                    # downward triangle
-                    q0, q1, q2 = grid[(a + 1, b)], grid[(a + 1, b + 1)], grid[(a, b + 1)]
-                    cen = q0 + q1 + q2
-                    nodes.append(cen / np.linalg.norm(cen))
-                    weights.append(_spherical_triangle_area(q0, q1, q2))
-    return np.array(nodes), np.array(weights)
 
 
 def unit_ball_volume(j: int) -> float:
@@ -299,7 +220,8 @@ class SphericalGrid:
 
     @property
     def area(self) -> float:
-        """Sum of weights; approximates (for product rules, equals) |S^{n-1}|."""
+        """Sum of weights: |S^{n-1}| to rounding for both methods (the product
+        rule integrates constants exactly, monte-carlo weights are scaled to it)."""
         return float(np.sum(self.weights))
 
     @cached_property
@@ -329,44 +251,39 @@ def build_grid(n: int, resolution: int, method: str, seed: int | None = None) ->
         Refinement parameter; node count grows monotonically with it.
         For ``product-angular`` the node count is 2 * resolution^{n-1}
         (for n = 2, ``resolution`` rounded up to an even node count);
-        for ``icosphere-n3`` it is 20 * resolution^2 faces; for
-        ``monte-carlo`` it is ``resolution`` rounded up to even.
+        for ``monte-carlo`` it is ``resolution`` rounded up to even.
     method : str
-        One of ``product-angular``, ``icosphere-n3``, ``monte-carlo``.
+        One of ``GRID_METHODS``: ``product-angular`` for the dimensions of
+        ``REFERENCE_RESOLUTION``, or ``monte-carlo`` for any n.
     seed : int, optional
         Required meaning only for ``monte-carlo`` (defaults to 0).
 
     Raises
     ------
     ConfigurationError
-        For an unsupported (n, method) pairing.
+        For an unknown method or a product-angular n outside
+        ``REFERENCE_RESOLUTION``; both are checked before the resolution.
     DomainError
         For a non-positive resolution, n < 2 or a negative monte-carlo seed.
     """
     if n < 2:
         raise DomainError(f"sphere dimension must satisfy n >= 2, got n={n}")
-    if resolution < 1:
-        raise DomainError(f"resolution must be >= 1, got {resolution}")
     if method not in GRID_METHODS:
         raise ConfigurationError(f"unknown grid method {method!r}; choose from {GRID_METHODS}")
+    if method == "product-angular" and n not in REFERENCE_RESOLUTION:
+        raise ConfigurationError(
+            f"product-angular grids are limited to n <= {max(REFERENCE_RESOLUTION)}; "
+            "use monte-carlo for higher dimensions"
+        )
+    if resolution < 1:
+        raise DomainError(f"resolution must be >= 1, got {resolution}")
 
     used_seed = None
     if method == "product-angular":
-        if n > MAX_PRODUCT_DIMENSION:
-            raise ConfigurationError(
-                f"product-angular grids are limited to n <= {MAX_PRODUCT_DIMENSION}; "
-                "use monte-carlo for higher dimensions"
-            )
         if n == 2:
             nodes, weights = _circle_half((resolution + 1) // 2)
         else:
             nodes, weights = _product_rule(n, resolution)
-    elif method == "icosphere-n3":
-        if n != 3:
-            raise ConfigurationError("icosphere-n3 grids exist only for n = 3")
-        half_nodes, half_weights = _icosphere_half(resolution)
-        nodes = np.vstack([half_nodes, -half_nodes])
-        weights = np.concatenate([half_weights, half_weights])
     else:  # monte-carlo
         used_seed = 0 if seed is None else int(seed)
         if used_seed < 0:

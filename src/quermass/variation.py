@@ -70,23 +70,15 @@ CONCAVITY_TOLERANCE = 1e-8
 POINCARE_SLACK = 1e-9
 
 
-def _jet(f, X: np.ndarray, what: str) -> calculus.Jet:
-    """The exact jet of a field such as a TestFunction; EvaluationError if not finite."""
-    if not callable(getattr(f, "jet", None)):
-        raise DomainError(f"{what} needs a field with an exact jet, such as a "
-                          f"TestFunction; got {type(f).__name__}")
+def _even_jet(f, X: np.ndarray, what: str) -> calculus.Jet:
+    """The exact jet of a TestFunction, even by its constructor; DomainError for
+    any other field, EvaluationError if the jet is not finite."""
+    if not isinstance(f, TestFunction):
+        raise DomainError(f"{what} needs even fields with exact jets, so they must be "
+                          f"TestFunctions; got {type(f).__name__}")
     jet = f.jet(X)
     _check_finite("the field or its derivatives", X, jet.value, jet.grad, jet.hess)
     return jet
-
-
-def _even_jet(f, X: np.ndarray, what: str) -> calculus.Jet:
-    """``_jet`` of a TestFunction, even by its constructor, as a sum over the
-    half rule needs; DomainError for any other field."""
-    if not isinstance(f, TestFunction):
-        raise DomainError(f"{what} sums over one node of each antipodal pair, so its fields "
-                          f"must be TestFunctions, which are even; got {type(f).__name__}")
-    return _jet(f, X, what)
 
 
 @dataclass
@@ -315,11 +307,12 @@ def ball_fk_second(n: int, k: int, psi, grid: SphericalGrid) -> float:
 
     k = 1 is excluded: the mean-width functional is linear in h, so its
     second variation carries no cofactor term and needs no closed form.
-    Lap psi = tr Q[psi] - (n-1) psi, exact from psi's jet.
+    Lap psi = tr Q[psi] - (n-1) psi, exact from psi's jet; psi must be a
+    TestFunction (else DomainError).
     """
     if not 2 <= k <= n:
         raise DomainError("closed-form f_k''(0) requires 2 <= k <= n")
-    jet = _jet(psi, grid.nodes, "ball_fk_second")
+    jet = _even_jet(psi, grid.nodes, "ball_fk_second")
     psi_vals = jet.value
     Q = calculus.q_from_jet(jet, grid.nodes, grid.frames)
     lap = np.einsum("mii->m", Q) - (n - 1) * psi_vals
@@ -350,17 +343,14 @@ def poincare_check(psi, grid: SphericalGrid) -> PoincareResult:
     Raises
     ------
     DomainError
-        If psi has no exact jet, is not even (checked by sampling
-        antipodes) or not zero-mean (|int psi| > 1e-8 * scale).
+        If psi is not a TestFunction (which is even by construction) or is
+        not zero-mean (|int psi| > 1e-8 * scale).
     EvaluationError
         If psi's jet is not finite at some node.
     """
-    jet = _jet(psi, grid.nodes, "poincare_check")
+    jet = _even_jet(psi, grid.nodes, "poincare_check")
     vals = jet.value
-    anti = np.asarray(psi(-grid.nodes), dtype=float)
     scale = 1.0 + np.max(np.abs(vals))
-    if np.max(np.abs(vals - anti)) > 1e-10 * scale:
-        raise DomainError("poincare_check requires an even test function")
     mean = float(np.dot(grid.weights, vals))
     if abs(mean) > 1e-8 * scale * grid.area:
         raise DomainError("poincare_check requires a zero-mean test function")

@@ -25,11 +25,6 @@ def grid5():
     return build_grid(5, REFERENCE_RESOLUTION[5], "product-angular")
 
 
-@pytest.fixture(scope="session")
-def ico_grid():
-    return build_grid(3, 6, "icosphere-n3")
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)

@@ -362,6 +362,7 @@ def test_options_and_defaults_pinned(command, tmp_path, capsys):
 
 @pytest.mark.parametrize("command, key, value", [
     ("vk", "vk_method", "bogus"),      # not one of the flag's choices
+    ("vk", "grid_method", "bogus"),
     ("counterexample", "sweep", "false"),  # a string, not a bool
     ("vk", "grid_res", 6.7),           # not an integer
     ("vk", "n", "x"),                  # not an integer
@@ -481,6 +482,8 @@ def test_unreadable_config_exits_2(content, tmp_path, capsys):
      "n=684, k=343 is out of double range"),
     (["counterexample", "--n", "1030", "--k", "516", "--json", "@REPORT"],
      "n=1030, k=516 is out of double range"),
+    (["vk", "--n", "7", "--grid-method", "product-angular"],
+     "product-angular grids are limited to n <= 6; use monte-carlo for higher dimensions"),
 ])
 def test_bad_spec_exits_1(argv, message, tmp_path, capsys):
     malformed = tmp_path / "malformed.json"
@@ -511,7 +514,7 @@ def test_seed_on_grid_without_seed_exits_2(command, by_config, tmp_path, capsys)
     assert not report.exists()
 
 
-@pytest.mark.parametrize("key, value", [("grid_res", 7), ("grid_method", "icosphere-n3"),
+@pytest.mark.parametrize("key, value", [("grid_res", 7), ("grid_method", "monte-carlo"),
                                         ("seed", 3)])
 @pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
 def test_grid_option_on_closed_form_vk_exits_2(key, value, by_config, tmp_path, capsys):
@@ -527,6 +530,27 @@ def test_grid_option_on_closed_form_vk_exits_2(key, value, by_config, tmp_path, 
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and f"{flag} {value}" in err and "Traceback" not in err
     assert not report.exists()
+
+
+@pytest.mark.parametrize("method", ["bogus", "icosphere-n3"])
+def test_unknown_grid_method_exits_2(method, tmp_path, capsys):
+    # --grid-method takes its choices from sphere.GRID_METHODS, as --vk-method
+    # takes its own; the second value was a grid method until it was removed
+    report = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["vk", "--grid-method", method, "--json", str(report)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and repr(method) in err and "Traceback" not in err
+    assert not report.exists()
+
+
+def test_default_grid_beyond_the_reference_table_is_monte_carlo(tmp_path, capsys):
+    # sphere.REFERENCE_RESOLUTION has no n = 7, so the default is 20000 monte-carlo nodes
+    report = tmp_path / "r.json"
+    assert main(["concavity", "--n", "7", "--k", "2", "--json", str(report)]) == 0
+    grid = json.loads(report.read_text())["grid"]
+    assert (grid["method"], grid["node_count"], grid["seed"]) == ("monte-carlo", 20000, 0)
 
 
 def test_seed_of_monte_carlo_grid_is_used(tmp_path, capsys):

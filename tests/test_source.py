@@ -54,6 +54,37 @@ def test_no_unused_imports():
     assert not unused, unused
 
 
+def _is_fixture(decorator: ast.expr) -> bool:
+    """``@pytest.fixture`` or ``@fixture``, bare or called."""
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return (isinstance(target, ast.Attribute) and target.attr == "fixture"
+            or isinstance(target, ast.Name) and target.id == "fixture")
+
+
+def _unused_fixtures(paths: list[pathlib.Path]) -> list[str]:
+    """``conftest.py:line name`` for each conftest fixture that no test or
+    fixture among ``paths`` takes as a parameter."""
+    fixtures, taken = {}, set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            is_fixture = any(_is_fixture(d) for d in node.decorator_list)
+            if is_fixture and path.name == "conftest.py":
+                fixtures[node.name] = f"{path.name}:{node.lineno} {node.name}"
+            if is_fixture or node.name.startswith("test"):
+                args = node.args
+                taken.update(a.arg for a in args.posonlyargs + args.args + args.kwonlyargs)
+    return [entry for name, entry in sorted(fixtures.items()) if name not in taken]
+
+
+def test_no_unused_fixtures():
+    # pytest never reports a fixture that nothing requests, so this is a plain AST scan
+    assert any(path.name == "conftest.py" for path in TESTS)
+    unused = _unused_fixtures(TESTS)
+    assert not unused, unused
+
+
 def _settable_private_fields(package) -> list[str]:
     """``Class.field`` for each dataclass field named ``_...`` that ``__init__`` takes."""
     found = []

@@ -57,18 +57,10 @@ def test_product_grid_antipodal_closure(n, res):
         assert seen[key] == w
 
 
-def test_icosphere_antipodal_closure():
-    g = build_grid(3, 4, "icosphere-n3")
-    m = g.node_count
-    assert np.array_equal(g.nodes[m // 2:], -g.nodes[: m // 2])
-    assert np.array_equal(g.weights[m // 2:], g.weights[: m // 2])
-
-
 def _half_rule_cases():
     for n in range(2, 7):
         yield from ((n, res, "product-angular") for res in (3, 4))
         yield from ((n, res, "monte-carlo") for res in (7, 8, 9))
-    yield from ((3, res, "icosphere-n3") for res in (3, 4))
 
 
 @pytest.mark.parametrize("n,res,method", list(_half_rule_cases()))
@@ -129,17 +121,6 @@ def test_product_grid_spectral_accuracy(grid3):
     assert_allclose(val, exact, rtol=1e-14)
 
 
-def test_icosphere_refinement():
-    exact = 4 * math.pi * math.sinh(1.0)
-    errs = []
-    for res in (4, 8, 16):
-        g = build_grid(3, res, "icosphere-n3")
-        errs.append(abs(integrate(g, lambda X: np.exp(X[:, 0])) - exact))
-    # roughly second order in the subdivision frequency
-    assert errs[1] < errs[0] / 3.0
-    assert errs[2] < errs[1] / 3.0
-
-
 def test_monte_carlo_grid():
     g = build_grid(3, 5000, "monte-carlo", seed=1)
     assert g.node_count == 5000
@@ -160,7 +141,9 @@ def test_build_grid_argument_errors():
     with pytest.raises(ConfigurationError):
         build_grid(7, 4, "product-angular")  # dimension cap for product rules
     with pytest.raises(ConfigurationError):
-        build_grid(4, 4, "icosphere-n3")
+        # the rule is checked before its resolution, which the CLI leaves
+        # None where the table has no entry
+        build_grid(7, None, "product-angular")
     with pytest.raises(ConfigurationError):
         build_grid(3, 4, "no-such-method")
     with pytest.raises(DomainError):
@@ -170,7 +153,7 @@ def test_build_grid_argument_errors():
 
 
 def test_grid_methods_registry():
-    assert set(GRID_METHODS) == {"product-angular", "icosphere-n3", "monte-carlo"}
+    assert GRID_METHODS == ("product-angular", "monte-carlo")
     assert set(REFERENCE_RESOLUTION) == {2, 3, 4, 5, 6}
 
 

@@ -518,12 +518,14 @@ def test_ibp_residuals_small(grid3, rng):
             assert res.scale_first > 0.0
 
 
-def test_ibp_residuals_are_quadrature_error():
-    # the inputs of round 35 of the benchmark's identities workload at seed 101
-    # (n = 5, k = 4), whose second residual, 1.16e-6 on the resolution-7 grid,
-    # is above the benchmark's 1e-6 bound: refining the grid drives both
-    # residuals to zero, so they are quadrature error and not a program fault
-    rng = np.random.default_rng([101, 35])
+@pytest.mark.parametrize("seed, rnd", [(101, 35), (19, 131)])
+def test_ibp_residuals_are_quadrature_error(seed, rnd):
+    # the inputs of a round of the benchmark's identities workload (n = 5,
+    # k = 4) with a residual above the benchmark's 1e-6 bound on the
+    # resolution-7 grid: the second at (101, 35), 1.16e-6, and both at
+    # (19, 131), 1.40e-6 and 1.23e-6.  Refining the grid drives both residuals
+    # to zero, so they are quadrature error and not a program fault
+    rng = np.random.default_rng([seed, rnd])
 
     def quadratic():
         M = rng.standard_normal((5, 5))
