@@ -60,7 +60,7 @@ import numpy as np
 from .bodies import Body, Box, PMeanSpec, WulffSampled, coordinate_cube, pmean_values
 from .errors import DomainError
 from .intrinsic import unit_ball_volume, vk_box, vk_closed_form
-from .sphere import REFERENCE_RESOLUTION, SphericalGrid, build_grid
+from .sphere import REFERENCE_RESOLUTION, SphericalGrid, _check_grid_dimension, build_grid
 
 #: Relative guard band for strict comparisons of rigorously bounded quantities.
 COMPARISON_GUARD = 1e-12
@@ -232,8 +232,10 @@ def containment_check(n: int, k: int, p: float, grid: SphericalGrid) -> float:
     A return <= 1e-9 therefore certifies P inside the enclosing box, and
     the bound holds at every unit u, not only at the nodes.  It costs
     O(mn) for m nodes; only the 2n gauge values at +-e_i are evaluated.
+    DomainError unless the grid is on S^{n-1}.
     """
     _check_nk(n, k)
+    _check_grid_dimension(grid, n)
     K0, K1 = cube_pair(n, k)
     g = pmean_values(PMeanSpec(p, 0.5, K0, K1), np.vstack([np.eye(n), -np.eye(n)]))
     U = grid.nodes
@@ -265,7 +267,8 @@ def v1_reverse_check(body0: Body, body1: Body, p: float, t: float, n: int,
     optionally, a Wulff LP estimate of the left side land in ``extras``.
 
     ``grid=None`` picks a product-angular grid for 3 <= n <= 6 (finer for
-    kinked bodies); other n raise ``DomainError`` and need an explicit grid.
+    kinked bodies); other n raise ``DomainError`` and need an explicit grid,
+    which must be on S^{n-1} (else ``DomainError``).
     """
     spec = PMeanSpec(p, t, body0, body1)
     v0 = vk_closed_form(body0, 1, n).value
@@ -283,6 +286,7 @@ def v1_reverse_check(body0: Body, body1: Body, p: float, t: float, n: int,
         smooth = getattr(body0, "is_smooth", False) and getattr(body1, "is_smooth", False)
         res = REFERENCE_RESOLUTION[n] if smooth else kinked_res[n]
         grid = build_grid(n, res, "product-angular")
+    _check_grid_dimension(grid, n)
     gauge = pmean_values(spec, grid.nodes)
     kappa = unit_ball_volume(n - 1)
     mean_width_bound = float(np.dot(grid.weights, gauge)) / kappa

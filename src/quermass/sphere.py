@@ -19,8 +19,10 @@ in R^n.  Two constructions are provided:
 Every grid is closed under x -> -x exactly: node sets are built from one
 half and mirrored by IEEE negation, so odd integrands cancel to rounding,
 and antipodal nodes carry equal weights and equal tangent frames.
-Nodes, weights and per-node tangent frames are immutable after
-construction and a grid is reproducible from (n, resolution, method, seed).
+Nodes and weights are immutable after construction, and a grid is
+reproducible from (n, resolution, method, seed).  Tangent frames are
+derived from the nodes: a rule builds its read-only frames on first read,
+so only the rules a curvature quadrature visits pay for them.
 
 Every grid stores one node of each +/-x pair in its first half.  The
 monte-carlo and circle rules are built as (half, -half); a
@@ -33,8 +35,8 @@ Every integrand of the curvature quadratures (V_k, f_k and its derivatives,
 the integration-by-parts identities) is even, because every smooth body
 and every test function is.  So those quadratures sum over
 ``SphericalGrid.half``, the first half of the nodes at twice their weights:
-half the work for the same integral, and a row there is the same node of
-the full grid.
+half the work for the same integral, and a row there is the same node, with
+the same frame, of the full grid.
 """
 
 from __future__ import annotations
@@ -52,10 +54,11 @@ from .errors import ConfigurationError, DomainError, EvaluationError, NumericalE
 
 GRID_METHODS = ("product-angular", "monte-carlo")
 
-#: The dimensions with a product-angular grid, each with the default
-#: resolution that gives effectively exact quadrature for the smooth
-#: integrands handled in this package.  Beyond them node counts become
-#: impractical, and monte-carlo is the grid.
+#: The dimensions with a product-angular grid and its default resolution.
+#: The rule is exact below total degree 2*resolution; other smooth integrands
+#: carry quadrature error (at n = 6, V_5 of LogPerturbedBall(0.3 zonal_degree4(6))
+#: is 8.9e-4 off, relative to resolution 11).  Beyond these n node counts
+#: become impractical, and monte-carlo is the grid.
 REFERENCE_RESOLUTION = {2: 64, 3: 14, 4: 8, 5: 7, 6: 5}
 
 
@@ -158,65 +161,63 @@ def _monte_carlo_half(n: int, res: int, seed: int) -> tuple[np.ndarray, np.ndarr
 def _householder_frames(nodes: np.ndarray) -> np.ndarray:
     """Orthonormal tangent frames at unit nodes, shape (m, n-1, n).
 
-    Uses the Householder reflection mapping the dominant coordinate axis to
-    the node; its remaining columns are an orthonormal basis of the tangent
-    space.  Deterministic and stable since the pivot entry is >= 1/sqrt(n).
+    Uses the Householder reflection H = I - 2 v v^T mapping the dominant
+    coordinate axis a to the node; H is symmetric, so its rows j != a are an
+    orthonormal basis of the tangent space.  Deterministic and stable since
+    the pivot entry is >= 1/sqrt(n), and each frame depends on its node only.
     """
     m, n = nodes.shape
-    a = np.argmax(np.abs(nodes), axis=1)
-    rows = np.arange(m)
-    pivot = nodes[rows, a]
-    sigma = np.where(pivot >= 0.0, 1.0, -1.0)
+    rows, a = np.arange(m), np.argmax(np.abs(nodes), axis=1)
     v = nodes.copy()
-    v[rows, a] += sigma
+    v[rows, a] += np.where(nodes[rows, a] >= 0.0, 1.0, -1.0)
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    # Columns j != a of H = I - 2 v v^T, each orthogonal to the node.
-    H = np.broadcast_to(np.eye(n), (m, n, n)).copy()
-    H -= 2.0 * v[:, :, None] * v[:, None, :]
-    frames = np.empty((m, n - 1, n))
-    cols = np.array([[j for j in range(n) if j != ai] for ai in a])
-    for idx in range(n - 1):
-        frames[:, idx, :] = H[rows, :, cols[:, idx]]
-    return frames
+    H = np.eye(n) - 2.0 * v[:, :, None] * v[:, None, :]
+    return H[np.arange(n) != a[:, None]].reshape(m, n - 1, n)
 
 
-@dataclass(frozen=True)
-class HalfRule:
-    """One node of each antipodal pair of a grid, at twice its weight.
-
-    Row i is node i of the full grid, the member of its pair with the lower
-    index.  For an even integrand, sum(weights * f(nodes)) is the full
-    grid's sum.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    frames: np.ndarray
+class _Rule:
+    """Nodes and weights on S^{n-1}, and the tangent frames derived from them."""
 
     @property
     def node_count(self) -> int:
         return self.nodes.shape[0]
 
+    @cached_property
+    def frames(self) -> np.ndarray:
+        """Read-only orthonormal tangent frames at the nodes, (m, n-1, n)."""
+        frames = _householder_frames(self.nodes)
+        frames.setflags(write=False)
+        return frames
+
 
 @dataclass(frozen=True)
-class SphericalGrid:
-    """Immutable quadrature grid on S^{n-1} with cached tangent frames."""
+class HalfRule(_Rule):
+    """One node of each antipodal pair of a grid, at twice its weight.
+
+    Row i is node i of the full grid, the member of its pair with the lower
+    index, and so is its frame.  For an even integrand, sum(weights *
+    f(nodes)) is the full grid's sum.
+    """
+
+    nodes: np.ndarray
+    weights: np.ndarray
+
+
+@dataclass(frozen=True)
+class SphericalGrid(_Rule):
+    """Immutable quadrature grid on S^{n-1}; its half rule and tangent frames
+    are built on first read."""
 
     dimension: int
     resolution: int
     method: str
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    frames: np.ndarray = field(repr=False)
     seed: int | None = None
 
     def __post_init__(self):
-        for arr in (self.nodes, self.weights, self.frames):
+        for arr in (self.nodes, self.weights):
             arr.setflags(write=False)
-
-    @property
-    def node_count(self) -> int:
-        return self.nodes.shape[0]
 
     @property
     def area(self) -> float:
@@ -230,7 +231,7 @@ class SphericalGrid:
         half = self.node_count // 2
         weights = 2.0 * self.weights[:half]
         weights.setflags(write=False)
-        return HalfRule(self.nodes[:half], weights, self.frames[:half])
+        return HalfRule(self.nodes[:half], weights)
 
     def fingerprint(self) -> str:
         """SHA-256 over node and weight bytes; identifies the grid in reports."""
@@ -292,16 +293,14 @@ def build_grid(n: int, resolution: int, method: str, seed: int | None = None) ->
 
     if not np.all(weights > 0.0):
         raise NumericalError("grid construction produced a non-positive weight")
-    frames = _householder_frames(nodes)
-    return SphericalGrid(
-        dimension=n,
-        resolution=resolution,
-        method=method,
-        nodes=nodes,
-        weights=weights,
-        frames=frames,
-        seed=used_seed,
-    )
+    return SphericalGrid(dimension=n, resolution=resolution, method=method,
+                         nodes=nodes, weights=weights, seed=used_seed)
+
+
+def _check_grid_dimension(grid: SphericalGrid, n: int) -> None:
+    """DomainError unless the grid is on S^{n-1}."""
+    if grid.dimension != n:
+        raise DomainError(f"n={n} needs a grid on S^{n - 1}, got one on S^{grid.dimension - 1}")
 
 
 def integrate(grid: SphericalGrid, f) -> float:

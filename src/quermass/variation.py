@@ -60,7 +60,7 @@ from .intrinsic import (
     _pd_violation,
     _second_cofactor_batch,
 )
-from .sphere import SphericalGrid, TestFunction, integrate, surface_area
+from .sphere import SphericalGrid, TestFunction, _check_grid_dimension, integrate, surface_area
 
 S_WINDOW = (-2.0, 2.0)
 _VALIDITY_SAMPLES = (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -295,8 +295,9 @@ def ball_fk(n: int, k: int) -> float:
 
 
 def ball_fk_prime(n: int, k: int, psi, grid: SphericalGrid) -> float:
-    """f_k'(0) at the unit ball: binom(n-1, k-1) int psi."""
+    """f_k'(0) at the unit ball: binom(n-1, k-1) int psi, on a grid on S^{n-1}."""
     _check_order("k", k, 1, n)
+    _check_grid_dimension(grid, n)
     return math.comb(n - 1, k - 1) * integrate(grid, psi)
 
 
@@ -308,10 +309,11 @@ def ball_fk_second(n: int, k: int, psi, grid: SphericalGrid) -> float:
     k = 1 is excluded: the mean-width functional is linear in h, so its
     second variation carries no cofactor term and needs no closed form.
     Lap psi = tr Q[psi] - (n-1) psi, exact from psi's jet; psi must be a
-    TestFunction (else DomainError).
+    TestFunction and the grid on S^{n-1} (else DomainError).
     """
     if not 2 <= k <= n:
         raise DomainError("closed-form f_k''(0) requires 2 <= k <= n")
+    _check_grid_dimension(grid, n)
     jet = _even_jet(psi, grid.nodes, "ball_fk_second")
     psi_vals = jet.value
     Q = calculus.q_from_jet(jet, grid.nodes, grid.frames)

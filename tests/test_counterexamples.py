@@ -280,6 +280,11 @@ def test_containment_certificate_overlap_case(grid3):
     assert worst <= 1e-9
 
 
+def test_containment_rejects_a_grid_of_another_dimension(grid4):
+    with pytest.raises(DomainError, match=r"grid on S\^2"):
+        containment_check(3, 2, 0.3, grid4)
+
+
 def _lp_containment(n, k, p, grid):
     # the LP route: support of the outer polytope by simplex at every node
     K0, K1 = cube_pair(n, k)
@@ -367,6 +372,15 @@ def test_v1_reverse_default_grid_outside_3_to_6():
         v1_reverse_check(*cube_pair(7, 3), 0.5, 0.5, 7)
     with pytest.raises(DomainError, match="explicit grid"):
         v1_reverse_check(Ball(1.0), Ball(2.0), 0.5, 0.5, 2)
+
+
+def test_v1_reverse_rejects_a_grid_of_another_dimension(grid4):
+    # on the wrong sphere the dilate pair would read `holds`, and a box of the
+    # wrong length would fail in numpy
+    with pytest.raises(DomainError, match=r"grid on S\^2"):
+        v1_reverse_check(Ball(1.0), Ball(2.0), 0.5, 0.5, 3, grid=grid4)
+    with pytest.raises(DomainError, match=r"grid on S\^2"):
+        v1_reverse_check(Box((1.0, 1.0, 1.0)), Ball(1.0), 0.5, 0.5, 3, grid=grid4)
 
 
 def test_v1_reverse_zero_factor():

@@ -1,7 +1,10 @@
 import ast
 import dataclasses
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import quermass
@@ -118,6 +121,33 @@ def test_benchmark_span_entry_points_resolve():
         if cls_name:
             owner = getattr(owner, cls_name)
         assert callable(getattr(owner, attr, None)), f"{target}.{attr}"
+
+
+_TRACED_ROUNDS = """
+from spans import Tracer, install
+from workloads import WORKLOADS
+
+tracer = Tracer()
+install(tracer)
+for name in ("scan", "certify", "identities"):
+    wl = WORKLOADS[name](0)
+    records = [(label, fn()) for label, fn in wl.round(0)]
+    errors = wl.check([(label, out) for label, out in records if label is not None])
+    assert not errors, (name, errors)
+assert tracer.spans and tracer.counters["second_cofactor_bytes"] > 0
+"""
+
+
+def test_benchmark_traced_rounds_run(tmp_path):
+    # a traced run wraps the entry points and its counters read their results
+    # (the second-cofactor counter reads .nbytes), so a changed return type
+    # breaks it; round 0 of each in-process workload must run and check clean
+    src = pathlib.Path(quermass.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(BENCH), str(src)]),
+               PYTHONDONTWRITEBYTECODE="1", OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _TRACED_ROUNDS], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 #: Names that the benchmark binds to the package (``q``, ``quermass``,

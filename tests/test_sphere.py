@@ -12,13 +12,17 @@ from scipy.special import roots_jacobi
 import quermass
 
 from quermass import (
+    Ball,
+    Box,
     ConfigurationError,
     DomainError,
     EvaluationError,
     TestFunction,
     build_grid,
+    containment_check,
     integrate,
     surface_area,
+    v1_reverse_check,
 )
 from quermass.sphere import GRID_METHODS, REFERENCE_RESOLUTION, _jacobi_rule
 
@@ -86,9 +90,14 @@ def test_half_rule_holds_one_node_of_each_antipodal_pair(n, res, method):
 def test_half_rule_is_built_on_first_use():
     g = build_grid(4, 5, "product-angular")
     fingerprint = g.fingerprint()
-    assert "half" not in vars(g)
+    assert "half" not in vars(g) and "frames" not in vars(g)
+    # checks that read only nodes and weights build no frame
+    containment_check(4, 2, 0.5, g)
+    v1_reverse_check(Box((1.0, 1.0, 1.0, 1.0)), Ball(1.0), 0.5, 0.5, 4, grid=g)
+    assert "half" not in vars(g) and "frames" not in vars(g)
     half = g.half
-    assert g.half is half
+    assert g.half is half and "frames" not in vars(half)
+    assert half.frames is half.frames and "frames" not in vars(g)
     assert g.node_count == 2 * 5 ** 3 and g.fingerprint() == fingerprint
     for arr in (half.nodes, half.weights, half.frames):
         assert not arr.flags.writeable
@@ -213,6 +222,9 @@ def test_grid_arrays_read_only(grid3):
         grid3.nodes[0, 0] = 2.0
     with pytest.raises(ValueError):
         grid3.weights[0] = 2.0
+    for frames in (grid3.frames, grid3.half.frames):
+        with pytest.raises(ValueError):
+            frames[0, 0, 0] = 2.0
 
 
 def test_integrate_rejects_non_finite(grid3):

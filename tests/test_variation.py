@@ -133,6 +133,17 @@ def test_ball_fk_second_k1_rejected(grid3):
         ball_fk_second(3, 1, psi, grid3)
 
 
+def test_ball_fk_prime_rejects_a_grid_of_another_dimension(grid4):
+    with pytest.raises(DomainError, match=r"grid on S\^2"):
+        ball_fk_prime(3, 2, lambda X: X[:, 0] ** 2, grid4)
+
+
+def test_ball_fk_second_rejects_a_grid_of_another_dimension(grid4):
+    # psi fits the grid, so only n = 3 against the grid's n = 4 is wrong
+    with pytest.raises(DomainError, match=r"grid on S\^2"):
+        ball_fk_second(3, 2, TestFunction.coordinate_harmonic(4).scaled(0.05), grid4)
+
+
 def test_constant_psi_exponential(grid3):
     # h_s = e^{s c} h makes f_k(s) = e^{k c s} f_k(0) exactly
     c = 0.3
@@ -379,7 +390,7 @@ def _full_rule(grid):
     """A copy of the grid whose half rule is every node at its own weight, so
     the half-rule quadratures sum over the full arrays."""
     full = build_grid(grid.dimension, grid.resolution, grid.method, seed=grid.seed)
-    vars(full)["half"] = HalfRule(full.nodes, full.weights, full.frames)
+    vars(full)["half"] = HalfRule(full.nodes, full.weights)
     return full
 
 
